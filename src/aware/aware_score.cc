@@ -30,7 +30,7 @@ double WeightOf(const RoleConfig& config, const WeightScheme& scheme, ReplicaId 
   return is_max ? scheme.v_max : scheme.v_min;
 }
 
-double WeightedQuorumTime(std::vector<std::pair<double, double>> arrivals_weights,
+double WeightedQuorumTime(std::vector<std::pair<double, double>>& arrivals_weights,
                           double quorum_weight, uint32_t skip_fastest) {
   std::sort(arrivals_weights.begin(), arrivals_weights.end());
   double acc = 0.0;
@@ -48,40 +48,88 @@ double WeightedQuorumTime(std::vector<std::pair<double, double>> arrivals_weight
   return kInf;
 }
 
-double AwareRoundDurationMs(const RoleConfig& config, const WeightScheme& scheme,
-                            const LatencyMatrix& latency, uint32_t u) {
-  const uint32_t n = scheme.n;
+namespace {
+
+using Arrivals = std::vector<std::pair<double, double>>;
+
+// Phase 1, Propose (Pre-Prepare): (arrival at A, weight of A) for every A.
+void Proposed(const RoleConfig& config, const WeightScheme& scheme,
+              const LatencyMatrix& latency, Arrivals& out) {
+  out.clear();
+  for (ReplicaId a = 0; a < scheme.n; ++a) {
+    out.emplace_back(AwareProposeTimeoutMs(config, latency, a),
+                     WeightOf(config, scheme, a));
+  }
+}
+
+// Phase 2, Write (Prepare): prepared(B) = weighted quorum of the writes
+// every replica A sends B once A holds the Pre-Prepare (TR2).
+double PreparedAt(const Arrivals& proposed, const WeightScheme& scheme,
+                  const LatencyMatrix& latency, uint32_t u, ReplicaId b,
+                  Arrivals& arrivals) {
+  arrivals.clear();
+  for (ReplicaId a = 0; a < scheme.n; ++a) {
+    const auto& [propose, weight] = proposed[a];
+    arrivals.emplace_back(propose + (a == b ? 0.0 : latency.Rtt(a, b)), weight);
+  }
+  return WeightedQuorumTime(arrivals, scheme.quorum_weight, u);
+}
+
+// Fills `prepared` for every replica; `arrivals` is scratch.
+void FillPrepared(const RoleConfig& config, const WeightScheme& scheme,
+                  const LatencyMatrix& latency, uint32_t u,
+                  std::vector<double>& prepared, Arrivals& arrivals) {
+  Arrivals proposed;
+  proposed.reserve(scheme.n);
+  Proposed(config, scheme, latency, proposed);
+  prepared.resize(scheme.n);
+  for (ReplicaId b = 0; b < scheme.n; ++b) {
+    prepared[b] = PreparedAt(proposed, scheme, latency, u, b, arrivals);
+  }
+}
+
+// Phase 3, Accept (Commit): the round concludes when the leader holds a
+// weighted quorum of accepts (TR3).
+double RoundFromPrepared(const RoleConfig& config, const WeightScheme& scheme,
+                         const LatencyMatrix& latency, uint32_t u,
+                         const std::vector<double>& prepared, Arrivals& arrivals) {
   const ReplicaId leader = config.leader;
-
-  // Phase 1: Propose (Pre-Prepare) arrival at each replica.
-  std::vector<double> propose(n);
-  for (ReplicaId a = 0; a < n; ++a) {
-    propose[a] = a == leader ? 0.0 : latency.Rtt(leader, a);
-  }
-
-  // Phase 2: Write (Prepare): prepared(B) = weighted quorum of writes.
-  std::vector<double> prepared(n);
-  for (ReplicaId b = 0; b < n; ++b) {
-    std::vector<std::pair<double, double>> arrivals;
-    arrivals.reserve(n);
-    for (ReplicaId a = 0; a < n; ++a) {
-      const double write_arrival =
-          a == b ? propose[a] : propose[a] + latency.Rtt(a, b);
-      arrivals.emplace_back(write_arrival, WeightOf(config, scheme, a));
-    }
-    prepared[b] = WeightedQuorumTime(std::move(arrivals), scheme.quorum_weight, u);
-  }
-
-  // Phase 3: Accept (Commit): the round concludes when the leader holds a
-  // weighted quorum of accepts (TR3).
-  std::vector<std::pair<double, double>> accepts;
-  accepts.reserve(n);
-  for (ReplicaId b = 0; b < n; ++b) {
+  arrivals.clear();
+  for (ReplicaId b = 0; b < scheme.n; ++b) {
     const double accept_arrival =
         b == leader ? prepared[b] : prepared[b] + latency.Rtt(b, leader);
-    accepts.emplace_back(accept_arrival, WeightOf(config, scheme, b));
+    arrivals.emplace_back(accept_arrival, WeightOf(config, scheme, b));
   }
-  return WeightedQuorumTime(std::move(accepts), scheme.quorum_weight, u);
+  return WeightedQuorumTime(arrivals, scheme.quorum_weight, u);
+}
+
+}  // namespace
+
+void AwarePreparedMs(const RoleConfig& config, const WeightScheme& scheme,
+                     const LatencyMatrix& latency, uint32_t u,
+                     std::vector<double>& out) {
+  Arrivals arrivals;
+  arrivals.reserve(scheme.n);
+  FillPrepared(config, scheme, latency, u, out, arrivals);
+}
+
+double AwareRoundFromPreparedMs(const RoleConfig& config, const WeightScheme& scheme,
+                                const LatencyMatrix& latency, uint32_t u,
+                                const std::vector<double>& prepared) {
+  Arrivals arrivals;
+  arrivals.reserve(scheme.n);
+  return RoundFromPrepared(config, scheme, latency, u, prepared, arrivals);
+}
+
+double AwareRoundDurationMs(const RoleConfig& config, const WeightScheme& scheme,
+                            const LatencyMatrix& latency, uint32_t u) {
+  // One arrivals buffer serves all n + 1 quorum computations. Every buffer
+  // is local, so concurrent searches on other threads share nothing.
+  Arrivals arrivals;
+  arrivals.reserve(scheme.n);
+  std::vector<double> prepared;
+  FillPrepared(config, scheme, latency, u, prepared, arrivals);
+  return RoundFromPrepared(config, scheme, latency, u, prepared, arrivals);
 }
 
 double AwareProposeTimeoutMs(const RoleConfig& config, const LatencyMatrix& latency,
@@ -98,14 +146,11 @@ double AwareWriteTimeoutMs(const RoleConfig& config, const LatencyMatrix& latenc
 double AwareAcceptTimeoutMs(const RoleConfig& config, const WeightScheme& scheme,
                             const LatencyMatrix& latency, ReplicaId from,
                             ReplicaId to, uint32_t u) {
-  std::vector<std::pair<double, double>> arrivals;
+  Arrivals proposed, arrivals;
+  proposed.reserve(scheme.n);
   arrivals.reserve(scheme.n);
-  for (ReplicaId a = 0; a < scheme.n; ++a) {
-    arrivals.emplace_back(AwareWriteTimeoutMs(config, latency, a, from),
-                          WeightOf(config, scheme, a));
-  }
-  const double prepared =
-      WeightedQuorumTime(std::move(arrivals), scheme.quorum_weight, u);
+  Proposed(config, scheme, latency, proposed);
+  const double prepared = PreparedAt(proposed, scheme, latency, u, from, arrivals);
   return prepared + (from == to ? 0.0 : latency.Rtt(from, to));
 }
 

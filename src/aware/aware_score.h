@@ -44,8 +44,22 @@ double WeightOf(const RoleConfig& config, const WeightScheme& scheme, ReplicaId 
 // Earliest time a weighted quorum accumulates, given per-replica arrival
 // times and weights, assuming the `skip_fastest` earliest contributions are
 // lost to misbehaving replicas. Returns +inf if no quorum is reachable.
-double WeightedQuorumTime(std::vector<std::pair<double, double>> arrivals_weights,
+// Sorts `arrivals_weights` in place, so callers can reuse one buffer.
+double WeightedQuorumTime(std::vector<std::pair<double, double>>& arrivals_weights,
                           double quorum_weight, uint32_t skip_fastest);
+
+// prepared(B) for every replica B (resized to scheme.n): the fastest
+// weighted quorum of writes at B. The one formula behind both the TR3 round
+// duration and the TR2 accept timeouts.
+void AwarePreparedMs(const RoleConfig& config, const WeightScheme& scheme,
+                     const LatencyMatrix& latency, uint32_t u,
+                     std::vector<double>& out);
+
+// TR3 round duration from the prepared times AwarePreparedMs produced: the
+// fastest weighted quorum of accepts at the leader.
+double AwareRoundFromPreparedMs(const RoleConfig& config, const WeightScheme& scheme,
+                                const LatencyMatrix& latency, uint32_t u,
+                                const std::vector<double>& prepared);
 
 // Predicted round duration for a (leader, Vmax-set) configuration.
 double AwareRoundDurationMs(const RoleConfig& config, const WeightScheme& scheme,

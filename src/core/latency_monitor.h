@@ -27,6 +27,8 @@ class LatencyMatrix {
     city_rtt_ms_.clear();
     city_stride_ = 0;
     overrides_.clear();
+    known_pairs_ = 0;
+    ++version_;
   }
 
   // Complete-probe-round initialization, city-compressed. Every ordered
@@ -43,18 +45,38 @@ class LatencyMatrix {
     city_rtt_ms_ = std::move(city_rtt_ms);
     city_stride_ = stride;
     overrides_.clear();
+    known_pairs_ = 0;  // unused: the baseline covers every pair
+    ++version_;
   }
 
   uint32_t size() const { return n_; }
 
+  // Bumped by every mutation (Record, Reset, ResetWithCityBaseline): values
+  // derived from the matrix stay valid while the version they were computed
+  // at is current.
+  uint64_t version() const { return version_; }
+
   void Record(ReplicaId reporter, ReplicaId peer, double rtt_ms) {
-    if (reporter < n_ && peer < n_) {
-      if (city_stride_ != 0) {
-        overrides_[Pack(reporter, peer)] = rtt_ms;
-      } else {
-        recorded_[reporter][peer] = rtt_ms;
+    if (reporter >= n_ || peer >= n_) {
+      return;
+    }
+    ++version_;
+    if (city_stride_ != 0) {
+      overrides_[Pack(reporter, peer)] = rtt_ms;
+      return;
+    }
+    double& slot = recorded_[reporter][peer];
+    if (reporter != peer) {
+      // The pair is known while either direction holds a report; recording
+      // kUnknown itself forgets this direction.
+      const bool reverse = recorded_[peer][reporter] != kUnknown;
+      const bool was_known = reverse || slot != kUnknown;
+      const bool now_known = reverse || rtt_ms != kUnknown;
+      if (was_known != now_known) {
+        now_known ? ++known_pairs_ : --known_pairs_;
       }
     }
+    slot = rtt_ms;
   }
 
   // Symmetric matrix entry per the paper's max rule. Unknown pairs return
@@ -93,8 +115,15 @@ class LatencyMatrix {
     return recorded_[a][b] != kUnknown || recorded_[b][a] != kUnknown;
   }
 
-  // Fraction of ordered pairs with at least one report; 1.0 = complete.
-  double Coverage() const;
+  // Fraction of unordered pairs with at least one report; 1.0 = complete.
+  // O(1): Record keeps the known-pair count.
+  double Coverage() const {
+    if (n_ < 2 || city_stride_ != 0) {
+      return 1.0;
+    }
+    const size_t total = static_cast<size_t>(n_) * (n_ - 1) / 2;
+    return static_cast<double>(known_pairs_) / static_cast<double>(total);
+  }
 
  private:
   static constexpr double kUnknown = -1.0;
@@ -127,6 +156,9 @@ class LatencyMatrix {
   std::vector<double> city_rtt_ms_;
   size_t city_stride_ = 0;
   std::unordered_map<uint64_t, double> overrides_;
+  // Dense mode: unordered pairs {a, b}, a != b, with at least one report.
+  size_t known_pairs_ = 0;
+  uint64_t version_ = 0;
 };
 
 class LatencyMonitor {

@@ -64,11 +64,9 @@ void PbftReplica::HandlePrePrepare(ReplicaId from, const PrePrepareMsg& msg,
 
   if (sensor_) {
     const LatencyMatrix& matrix = harness_->pipeline_->latency_monitor().matrix();
-    const uint32_t u = harness_->pipeline_->suspicion_monitor().Current().u;
     if (matrix.Known(msg.leader, id_) && id_ != msg.leader) {
       // Condition (b) on the Pre-Prepare itself: d_m = Lr(L, A) (TR1).
-      const double d_rnd_ms = AwareRoundDurationMs(
-          harness_->config_, harness_->scheme(), matrix, u);
+      const double d_rnd_ms = harness_->sensor_timeouts().d_rnd_ms;
       if (std::isfinite(d_rnd_ms)) {
         sensor_->OnProposalTimestamp(msg.seq, msg.leader, msg.timestamp,
                                      FromMs(d_rnd_ms));
@@ -92,15 +90,14 @@ void PbftReplica::HandlePrePrepare(ReplicaId from, const PrePrepareMsg& msg,
   if (CpuMeter* cpu = harness_->net_->cpu()) {
     cpu->ChargeSign(id_, at);
   }
-  std::vector<ReplicaId> all(harness_->opts_.n);
-  for (ReplicaId id = 0; id < harness_->opts_.n; ++id) {
-    all[id] = id;
-  }
-  harness_->net_->Multicast(id_, all, std::move(write));
+  harness_->net_->Multicast(id_, harness_->all_replicas_, std::move(write));
   MaybeAdvance(msg.seq);
 }
 
 void PbftReplica::HandlePhase(ReplicaId from, const PhaseMsg& msg, SimTime at) {
+  if (from >= harness_->opts_.n) {
+    return;  // only replicas vote; a client's Write/Accept is noise
+  }
   if (CpuMeter* cpu = harness_->net_->cpu()) {
     cpu->ChargeVerify(id_, at);  // the sender's phase signature
   }
@@ -122,11 +119,10 @@ void PbftReplica::HandlePhase(ReplicaId from, const PhaseMsg& msg, SimTime at) {
   if (sensor_ && inst.have_preprepare && from != id_) {
     const LatencyMatrix& matrix = harness_->pipeline_->latency_monitor().matrix();
     if (matrix.Known(from, id_) && matrix.Coverage() >= 1.0) {
-      const uint32_t u = harness_->pipeline_->suspicion_monitor().Current().u;
+      // TR2: an Accept is due once `from` is prepared, plus the hop to here.
       const double d_m_ms =
           msg.accept
-              ? AwareAcceptTimeoutMs(harness_->config_, harness_->scheme(), matrix,
-                                     from, id_, u)
+              ? harness_->sensor_timeouts().prepared_ms[from] + matrix.Rtt(from, id_)
               : AwareWriteTimeoutMs(harness_->config_, matrix, from, id_);
       if (std::isfinite(d_m_ms)) {
         sensor_->ObserveArrival(msg.seq, from,
@@ -174,11 +170,7 @@ void PbftReplica::MaybeAdvance(uint64_t seq) {
     if (CpuMeter* cpu = harness_->net_->cpu()) {
       cpu->ChargeSign(id_, harness_->sim_->now());
     }
-    std::vector<ReplicaId> all(harness_->opts_.n);
-    for (ReplicaId id = 0; id < harness_->opts_.n; ++id) {
-      all[id] = id;
-    }
-    harness_->net_->Multicast(id_, all, std::move(accept));
+    harness_->net_->Multicast(id_, harness_->all_replicas_, std::move(accept));
   }
   if (!inst.committed && inst.accepted && inst.accept_weight >= quorum) {
     Commit(seq);
@@ -308,7 +300,9 @@ PbftHarness::PbftHarness(Simulator* sim, Network* net, const KeyStore* keys,
       popts);
   log_.AddListener([this](const LogEntry& e) { OnLogCommit(e); });
 
+  all_replicas_.reserve(opts_.n);
   for (ReplicaId id = 0; id < opts_.n; ++id) {
+    all_replicas_.push_back(id);
     replicas_.push_back(std::make_unique<PbftReplica>(id, this));
     net_->Register(id, replicas_.back().get());
     if (opts_.mode == PbftMode::kOptiAware) {
@@ -370,10 +364,28 @@ void PbftHarness::SetTopologyOrConfig(const RoleConfig& config) {
   }
   // Pre-start install: adopt silently (no reconfiguration event).
   config_ = config;
+  timeouts_valid_ = false;
   if (config_.weight_max.size() != opts_.n) {
     config_.weight_max.assign(opts_.n, 0);
   }
   pipeline_->config_monitor_mutable().SetActive(config_, 0.0);
+}
+
+const PbftHarness::SensorTimeouts& PbftHarness::sensor_timeouts() {
+  const LatencyMatrix& matrix = pipeline_->latency_monitor().matrix();
+  const uint32_t u = pipeline_->suspicion_monitor().Current().u;
+  if (timeouts_valid_ && timeouts_.matrix_version == matrix.version() &&
+      timeouts_.u == u) {
+    return timeouts_;
+  }
+  timeouts_valid_ = true;
+  timeouts_.matrix_version = matrix.version();
+  timeouts_.u = u;
+  AwarePreparedMs(config_, scheme(), matrix, u, timeouts_.prepared_ms);
+  timeouts_.d_rnd_ms =
+      AwareRoundFromPreparedMs(config_, scheme(), matrix, u, timeouts_.prepared_ms);
+  ++timeouts_.builds;
+  return timeouts_;
 }
 
 MetricsReport PbftHarness::Metrics() const {
@@ -471,11 +483,7 @@ void PbftHarness::ProposeNext(SimTime now) {
     cpu->ChargeHash(config_.leader, now, msg->WireSize());
     cpu->ChargeSign(config_.leader, now);
   }
-  std::vector<ReplicaId> all(opts_.n);
-  for (ReplicaId id = 0; id < opts_.n; ++id) {
-    all[id] = id;
-  }
-  net_->Multicast(config_.leader, all, std::move(msg));
+  net_->Multicast(config_.leader, all_replicas_, std::move(msg));
 }
 
 void PbftHarness::OnCommitAtLeader(uint64_t seq, uint32_t batch_size) {
@@ -635,6 +643,7 @@ void PbftHarness::MaybeReactToSuspicions() {
 
 void PbftHarness::OnReconfigure(const RoleConfig& config, double score) {
   config_ = config;
+  timeouts_valid_ = false;
   if (config_.weight_max.size() != opts_.n) {
     config_.weight_max.assign(opts_.n, 0);
   }

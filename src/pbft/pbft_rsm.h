@@ -139,6 +139,20 @@ class PbftHarness : public ConsensusEngine, public TimerTarget {
   const Pipeline& pipeline() const { return *pipeline_; }
   const Log& log() const { return log_; }
 
+  // The OptiAware sensor timeouts every replica checks messages against
+  // (TR1-TR3). They are pure functions of the active configuration, the
+  // latency matrix and u, so one table serves all replicas: it is rebuilt
+  // on first use after a reconfiguration, a matrix mutation (version) or a
+  // change of u.
+  struct SensorTimeouts {
+    uint64_t matrix_version = 0;
+    uint32_t u = 0;
+    double d_rnd_ms = 0.0;             // TR3 round duration
+    std::vector<double> prepared_ms;   // prepared(B), indexed by replica
+    uint64_t builds = 0;               // rebuilds so far
+  };
+  const SensorTimeouts& sensor_timeouts();
+
  private:
   friend class PbftReplica;
 
@@ -168,7 +182,11 @@ class PbftHarness : public ConsensusEngine, public TimerTarget {
 
   AwareConfigSpace space_;
   RoleConfig config_;
+  // Cleared wherever config_ is written; see sensor_timeouts().
+  bool timeouts_valid_ = false;
+  SensorTimeouts timeouts_;
   std::vector<std::unique_ptr<PbftReplica>> replicas_;
+  std::vector<ReplicaId> all_replicas_;  // 0..n-1, every multicast's fan-out
   // The client side and the leader's request queue come from the shared
   // workload layer; only the propose-on-idle trigger below is PBFT's own.
   std::unique_ptr<RequestQueue> queue_;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "src/api/deployment.h"
 #include "src/aware/aware_score.h"
 #include "src/net/geo.h"
 
@@ -231,6 +234,205 @@ TEST(AwareSpace, RejectsNonCandidateLeader) {
   cfg.leader = 0;
   cfg.weight_max.assign(13, 0);
   EXPECT_FALSE(space.Valid(cfg, k));
+}
+
+// --- Sensor timeout table ----------------------------------------------------
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// Example C.1's three phases written out directly, as a reference the
+// shared AwarePreparedMs path must reproduce bit for bit.
+double ReferenceQuorum(std::vector<std::pair<double, double>> arrivals,
+                       double quorum, uint32_t u) {
+  std::sort(arrivals.begin(), arrivals.end());
+  double acc = 0.0;
+  for (size_t i = u; i < arrivals.size(); ++i) {
+    acc += arrivals[i].second;
+    if (acc >= quorum) {
+      return arrivals[i].first;
+    }
+  }
+  return kInf;
+}
+
+double ReferencePrepared(const RoleConfig& cfg, const WeightScheme& s,
+                         const LatencyMatrix& m, uint32_t u, ReplicaId b) {
+  std::vector<std::pair<double, double>> writes;
+  for (ReplicaId a = 0; a < s.n; ++a) {
+    const double propose = a == cfg.leader ? 0.0 : m.Rtt(cfg.leader, a);
+    writes.emplace_back(a == b ? propose : propose + m.Rtt(a, b), WeightOf(cfg, s, a));
+  }
+  return ReferenceQuorum(writes, s.quorum_weight, u);
+}
+
+double ReferenceRound(const RoleConfig& cfg, const WeightScheme& s,
+                      const LatencyMatrix& m, uint32_t u) {
+  std::vector<std::pair<double, double>> accepts;
+  for (ReplicaId b = 0; b < s.n; ++b) {
+    const double prepared = ReferencePrepared(cfg, s, m, u, b);
+    accepts.emplace_back(b == cfg.leader ? prepared : prepared + m.Rtt(b, cfg.leader),
+                         WeightOf(cfg, s, b));
+  }
+  return ReferenceQuorum(accepts, s.quorum_weight, u);
+}
+
+// Random RTTs with some pairs reported unreachable (inf) and some never
+// reported at all (also inf through Rtt).
+LatencyMatrix RandomHoleyMatrix(uint32_t n, Rng& rng) {
+  LatencyMatrix m(n);
+  for (ReplicaId a = 0; a < n; ++a) {
+    for (ReplicaId b = 0; b < n; ++b) {
+      const uint64_t roll = rng.Below(20);
+      if (a == b || roll == 0) {
+        continue;
+      }
+      m.Record(a, b, roll == 1 ? kInf : rng.Uniform(1.0, 300.0));
+    }
+  }
+  return m;
+}
+
+TEST(AwareTimeoutTable, PreparedTimesReproduceEveryTimeoutExactly) {
+  const std::pair<uint32_t, uint32_t> kSizes[] = {{4, 1}, {7, 1}, {13, 4}, {21, 6}};
+  Rng rng(11);
+  for (const auto& [n, f] : kSizes) {
+    const AwareConfigSpace space(n, f);
+    const WeightScheme& s = space.scheme();
+    for (int trial = 0; trial < 6; ++trial) {
+      const LatencyMatrix m = RandomHoleyMatrix(n, rng);
+      const RoleConfig cfg = space.RandomConfig(AllCandidates(n), rng);
+      for (uint32_t u = 0; u <= f; ++u) {
+        std::vector<double> prepared;
+        AwarePreparedMs(cfg, s, m, u, prepared);
+        ASSERT_EQ(prepared.size(), n);
+        const double round = AwareRoundDurationMs(cfg, s, m, u);
+        EXPECT_EQ(AwareRoundFromPreparedMs(cfg, s, m, u, prepared), round);
+        EXPECT_EQ(round, ReferenceRound(cfg, s, m, u));
+        for (ReplicaId from = 0; from < n; ++from) {
+          EXPECT_EQ(prepared[from], ReferencePrepared(cfg, s, m, u, from));
+          for (ReplicaId to = 0; to < n; ++to) {
+            // The harness's per-Accept read: prepared(from) plus the hop.
+            const double table = prepared[from] + (from == to ? 0.0 : m.Rtt(from, to));
+            EXPECT_EQ(table, AwareAcceptTimeoutMs(cfg, s, m, from, to, u))
+                << "n=" << n << " u=" << u << " " << from << "->" << to;
+          }
+        }
+      }
+    }
+  }
+}
+
+std::unique_ptr<Deployment> OptiAwareUnderAttack(ReplicaId* attacker) {
+  PbftOptions opts;
+  opts.optimize_at = 5 * kSec;
+  opts.delta = 1.5;
+  auto d = Deployment::Builder()
+               .WithGeo(Europe21())
+               .WithProtocol(Protocol::kOptiAware)
+               .WithPbftOptions(opts)
+               .Build();
+  Deployment* raw = d.get();
+  raw->sim().ScheduleAt(15 * kSec, [raw, attacker] {
+    *attacker = raw->pbft().config().leader;
+    auto& faults = raw->faults().Mutable(*attacker);
+    faults.proposal_delay = 600 * kMsec;
+    faults.fast_probes = true;
+  });
+  return d;
+}
+
+TEST(AwareTimeoutTable, HarnessRebuildsExactlyWhenAnInputMoves) {
+  ReplicaId attacker = kNoReplica;
+  auto d = OptiAwareUnderAttack(&attacker);
+  PbftHarness& pbft = d->pbft();
+  d->Start();
+  size_t reconfigs = pbft.reconfigure_times().size();
+  uint64_t version = pbft.matrix().version();
+  uint32_t u = pbft.pipeline().suspicion_monitor().Current().u;
+  uint64_t builds = pbft.sensor_timeouts().builds;
+  int on_reconfig = 0, on_matrix = 0, on_u = 0;
+  for (SimTime t = 100 * kMsec; t <= 45 * kSec; t += 100 * kMsec) {
+    d->RunUntil(t);
+    const size_t now_reconfigs = pbft.reconfigure_times().size();
+    const uint64_t now_version = pbft.matrix().version();
+    const uint32_t now_u = pbft.pipeline().suspicion_monitor().Current().u;
+    const auto& table = pbft.sensor_timeouts();
+    if (now_reconfigs != reconfigs || now_version != version || now_u != u) {
+      EXPECT_GT(table.builds, builds) << "stale table at t=" << t;
+      on_reconfig += now_reconfigs != reconfigs;
+      on_matrix += now_version != version;
+      on_u += now_u != u;
+    }
+    // Memoized: a second read with nothing moved rebuilds nothing.
+    builds = table.builds;
+    EXPECT_EQ(pbft.sensor_timeouts().builds, builds);
+    // And the table holds exactly what the per-message functions compute.
+    EXPECT_EQ(table.matrix_version, now_version);
+    EXPECT_EQ(table.u, now_u);
+    EXPECT_EQ(table.d_rnd_ms,
+              AwareRoundDurationMs(pbft.config(), pbft.scheme(), pbft.matrix(), now_u));
+    for (ReplicaId from = 0; from < pbft.options().n; ++from) {
+      const ReplicaId to = (from + 1) % pbft.options().n;
+      EXPECT_EQ(table.prepared_ms[from] + pbft.matrix().Rtt(from, to),
+                AwareAcceptTimeoutMs(pbft.config(), pbft.scheme(), pbft.matrix(),
+                                     from, to, now_u));
+    }
+    reconfigs = now_reconfigs;
+    version = now_version;
+    u = now_u;
+  }
+  ASSERT_NE(attacker, kNoReplica);
+  EXPECT_GT(on_reconfig, 0);
+  EXPECT_GT(on_matrix, 0);
+  EXPECT_GT(on_u, 0);
+}
+
+// Feeds every replica a Write and an Accept from `sender` (not a replica)
+// for the instances in flight, every 20 ms from `from_time` on.
+void InjectForeignVotes(Deployment* d, ReplicaId sender, SimTime from_time) {
+  d->sim().ScheduleAt(from_time, [d, sender] {
+    PbftHarness& pbft = d->pbft();
+    const uint64_t seq = pbft.committed_instances();
+    for (ReplicaId to = 0; to < pbft.options().n; ++to) {
+      for (uint64_t s = seq; s < seq + 2; ++s) {
+        for (bool accept : {false, true}) {
+          auto vote = d->sim().pool().Make<PhaseMsg>();
+          vote->accept = accept;
+          vote->seq = s;
+          d->net().Send(sender, to, std::move(vote));
+        }
+      }
+    }
+    InjectForeignVotes(d, sender, d->sim().now() + 20 * kMsec);
+  });
+}
+
+TEST(AwareTimeoutTable, VotesFromBeyondTheReplicaSetAreIgnored) {
+  // A client id (>= n) sending Writes and Accepts must neither count
+  // toward a quorum nor reach the timeout table's per-replica entries: the
+  // run must match a clean twin in every replica-side outcome.
+  ReplicaId attacker_a = kNoReplica, attacker_b = kNoReplica;
+  auto clean = OptiAwareUnderAttack(&attacker_a);
+  auto noisy = OptiAwareUnderAttack(&attacker_b);
+  const ReplicaId client = noisy->pbft().options().n;  // the first client
+  InjectForeignVotes(noisy.get(), client, 10 * kSec);
+  for (Deployment* d : {clean.get(), noisy.get()}) {
+    d->Start();
+    d->RunUntil(30 * kSec);
+  }
+  PbftHarness& a = clean->pbft();
+  PbftHarness& b = noisy->pbft();
+  EXPECT_EQ(a.committed_instances(), b.committed_instances());
+  EXPECT_EQ(a.log().head(), b.log().head());
+  EXPECT_EQ(a.suspicion_times(), b.suspicion_times());
+  EXPECT_EQ(a.reconfigure_times(), b.reconfigure_times());
+  EXPECT_EQ(a.sensor_timeouts().builds, b.sensor_timeouts().builds);
+  const auto& sa = a.client(1).samples();
+  const auto& sb = b.client(1).samples();
+  ASSERT_EQ(sa.size(), sb.size());
+  for (size_t i = 0; i < sa.size(); ++i) {
+    EXPECT_EQ(sa[i].at, sb[i].at);
+  }
 }
 
 }  // namespace

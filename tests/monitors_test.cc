@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "src/core/latency_monitor.h"
 #include "src/util/rng.h"
@@ -43,6 +44,71 @@ TEST(LatencyMatrix, CoverageProgresses) {
   m.Record(0, 2, 1.0);
   m.Record(1, 2, 1.0);
   EXPECT_DOUBLE_EQ(m.Coverage(), 1.0);
+}
+
+// Coverage by definition: an O(n²) recount of unordered pairs with a report.
+double CoverageRecount(const LatencyMatrix& m) {
+  const uint32_t n = m.size();
+  if (n < 2) {
+    return 1.0;
+  }
+  size_t known = 0;
+  size_t total = 0;
+  for (ReplicaId a = 0; a < n; ++a) {
+    for (ReplicaId b = a + 1; b < n; ++b) {
+      ++total;
+      known += m.Known(a, b) ? 1 : 0;
+    }
+  }
+  return static_cast<double>(known) / static_cast<double>(total);
+}
+
+TEST(LatencyMatrix, IncrementalCoverageMatchesRecount) {
+  const double kValues[] = {12.5, std::numeric_limits<double>::infinity(), 3.0,
+                            -1.0 /* the unknown marker: forgets the pair */};
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    const uint32_t n = 2 + static_cast<uint32_t>(rng.Below(6));
+    LatencyMatrix m(n);
+    for (int step = 0; step < 400; ++step) {
+      const uint64_t move = rng.Below(20);
+      const uint64_t version = m.version();
+      if (move == 0) {
+        m.Reset(n);
+        EXPECT_GT(m.version(), version);
+      } else {
+        // Ids up to n + 1: out-of-range reporters and peers included; a
+        // small id range makes re-records of one pair and reporter == peer
+        // frequent.
+        const auto reporter = static_cast<ReplicaId>(rng.Below(n + 2));
+        const auto peer = static_cast<ReplicaId>(rng.Below(n + 2));
+        m.Record(reporter, peer, kValues[rng.Below(4)]);
+        if (reporter < n && peer < n) {
+          EXPECT_GT(m.version(), version);
+        } else {
+          EXPECT_EQ(m.version(), version);  // ignored, nothing changed
+        }
+      }
+      ASSERT_EQ(m.Coverage(), CoverageRecount(m))
+          << "seed " << seed << " step " << step;
+    }
+  }
+}
+
+TEST(LatencyMatrix, CityBaselineIsFullyCovered) {
+  LatencyMatrix m(3);
+  m.Record(0, 1, 5.0);
+  const uint64_t version = m.version();
+  // Two cities: replicas 0 and 1 colocated, replica 2 on its own.
+  m.ResetWithCityBaseline(3, {0, 0, 1}, {0.0, 40.0, 40.0, 0.0}, 2);
+  EXPECT_GT(m.version(), version);
+  EXPECT_EQ(m.Coverage(), 1.0);
+  EXPECT_EQ(m.Coverage(), CoverageRecount(m));
+  const uint64_t rebased = m.version();
+  m.Record(2, 0, std::numeric_limits<double>::infinity());
+  EXPECT_GT(m.version(), rebased);
+  EXPECT_EQ(m.Coverage(), 1.0);
+  EXPECT_TRUE(std::isinf(m.Rtt(0, 2)));
 }
 
 TEST(LatencyMonitor, AppliesVectors) {
