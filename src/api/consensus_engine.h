@@ -12,6 +12,9 @@
 
 namespace optilog {
 
+class ClientFleet;
+class RequestQueue;
+
 class ConsensusEngine {
  public:
   virtual ~ConsensusEngine() = default;
@@ -28,8 +31,14 @@ class ConsensusEngine {
   // The active configuration in RoleConfig form.
   virtual RoleConfig ActiveConfig() const = 0;
 
-  // Unified metrics snapshot (counts, latency, throughput series).
+  // The protocol fields of the unified report only (counts, latency,
+  // throughput series, event times, log head); Deployment::Metrics fills the
+  // substrate sections, the workload one from the two accessors below.
   virtual MetricsReport Metrics() const = 0;
+
+  // Null when the engine self-drives (the fleet also under an outside fleet).
+  virtual const RequestQueue* request_queue() const = 0;
+  virtual const ClientFleet* client_fleet() const = 0;
 };
 
 }  // namespace optilog

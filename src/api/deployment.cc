@@ -35,16 +35,28 @@ PbftHarness& Deployment::pbft() {
 }
 
 MetricsReport Deployment::Metrics() {
-  MetricsReport m = engine().Metrics();
+  const ConsensusEngine& e = engine();
+  MetricsReport m = e.Metrics();
+  m.event_core = simp_->event_core_stats();
+  m.wire_messages = net_->stats().messages_sent;
+  m.wire_bytes = net_->stats().bytes_sent;
+  if (const CpuMeter* cpu = net_->cpu()) {
+    m.crypto = cpu->Report();
+  }
+  if (const RequestQueue* queue = e.request_queue()) {
+    if (const ClientFleet* fleet = e.client_fleet()) {
+      m.workload = fleet->Report();
+    }
+    FoldReports(m.workload, {queue->counts()});
+  }
+  if (rsm_group_ != nullptr) {
+    rsm_group_->FillReport(m.statemachine, simp_->now());
+  }
   if (m.log_head_hex.empty() && pipeline_ != nullptr) {
     m.log_head_hex = DigestHex(log_.head());
   }
   if (gauges_ != nullptr) {
-    m.timeseries.enabled = true;
-    m.timeseries.interval = gauges_->interval();
-    for (const GaugeSampler::Series& s : gauges_->series()) {
-      m.timeseries.series.push_back({s.name, s.values});
-    }
+    m.timeseries = gauges_->report();
   }
   return m;
 }
@@ -445,9 +457,7 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
       }
     }
     d->gauges_->Add("queue_depth", [dp] {
-      const RequestQueue* q = dp->tree_ != nullptr
-                                  ? dp->tree_->request_queue()
-                                  : dp->pbft_->request_queue();
+      const RequestQueue* q = dp->engine().request_queue();
       return q != nullptr ? static_cast<double>(q->depth()) : 0.0;
     });
     d->gauges_->Add("pending_events", [dp] {

@@ -110,10 +110,10 @@ class Deployment {
   void Start() { engine().Start(); }
   void RunFor(SimTime d) { sim().RunFor(d); }
   void RunUntil(SimTime t) { sim().RunUntil(t); }
-  // The engine's metrics, with log_head_hex filled from the deployment's
-  // measurement bus when the engine doesn't own one (tree protocols under
-  // WithOptiLogReconfig commit through the deployment log), and the gauge
-  // time-series folded in when WithGaugeSampling ran.
+  // The engine's protocol fields plus the substrate sections this
+  // deployment owns: event core, wire, crypto, workload (the engine's fleet
+  // and queue), state machine, gauge series, and log_head_hex from the
+  // deployment's bus when the engine keeps no Log of its own.
   MetricsReport Metrics();
 
   // --- observability ---------------------------------------------------------

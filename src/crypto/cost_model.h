@@ -26,11 +26,13 @@
 //     crypto_bench scenario reports these as advisory metrics).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "src/obs/trace.h"
+#include "src/rsm/metrics.h"
 #include "src/sim/ids.h"
 #include "src/sim/time.h"
 
@@ -105,30 +107,30 @@ class CpuMeter {
 
   void ChargeSign(ReplicaId id, SimTime now, uint64_t count = 1) {
     Charge(id, now, model_.sign_ns * static_cast<double>(count), kOpSign);
-    signs_ += count;
+    counts_.signs += count;
   }
   void ChargeVerify(ReplicaId id, SimTime now, uint64_t count = 1) {
     Charge(id, now, model_.verify_ns * static_cast<double>(count), kOpVerify);
-    verifies_ += count;
+    counts_.verifies += count;
   }
   void ChargeHash(ReplicaId id, SimTime now, uint64_t bytes) {
     Charge(id, now,
            model_.hash_base_ns + model_.hash_byte_ns * static_cast<double>(bytes),
            kOpHash);
-    ++hashes_;
-    hashed_bytes_ += bytes;
+    ++counts_.hashes;
+    counts_.hashed_bytes += bytes;
   }
   void ChargeQcAggregate(ReplicaId id, SimTime now, uint64_t shares) {
     Charge(id, now, model_.qc_aggregate_share_ns * static_cast<double>(shares),
            kOpQcAggregate);
-    qc_aggregated_shares_ += shares;
+    counts_.qc_aggregated_shares += shares;
   }
   void ChargeQcVerify(ReplicaId id, SimTime now, uint64_t signers) {
     Charge(id, now,
            model_.qc_verify_base_ns +
                model_.qc_verify_signer_ns * static_cast<double>(signers),
            kOpQcVerify);
-    ++qc_verifies_;
+    ++counts_.qc_verifies;
   }
 
   // Earliest µs instant at or after `now` when `id`'s CPU is free. The send
@@ -144,22 +146,13 @@ class CpuMeter {
     return (horizon + 999) / 1000;  // ceil ns -> µs
   }
 
-  uint64_t signs() const { return signs_; }
-  uint64_t verifies() const { return verifies_; }
-  uint64_t hashes() const { return hashes_; }
-  uint64_t hashed_bytes() const { return hashed_bytes_; }
-  uint64_t qc_aggregated_shares() const { return qc_aggregated_shares_; }
-  uint64_t qc_verifies() const { return qc_verifies_; }
-  uint64_t busy_ns_total() const { return busy_ns_total_; }
-  uint64_t busy_ns_of(ReplicaId id) const {
-    return id < busy_ns_.size() ? busy_ns_[id] : 0;
-  }
-  uint64_t busy_ns_max_replica() const {
-    uint64_t best = 0;
+  // The op counts and charged CPU time, as the report's crypto section.
+  CryptoReport Report() const {
+    CryptoReport r = counts_;
     for (uint64_t ns : busy_ns_) {
-      best = best > ns ? best : ns;
+      r.busy_ns_max_replica = std::max(r.busy_ns_max_replica, ns);
     }
-    return best;
+    return r;
   }
 
   // Modeled CPU time still owed beyond `now`, summed over replicas — the
@@ -192,7 +185,7 @@ class CpuMeter {
     int64_t& horizon = busy_until_ns_[id];
     horizon = (horizon > now_ns ? horizon : now_ns) + cost;
     busy_ns_[id] += static_cast<uint64_t>(cost);
-    busy_ns_total_ += static_cast<uint64_t>(cost);
+    counts_.busy_ns_total += static_cast<uint64_t>(cost);
     if (trace_ != nullptr) {
       trace_->EmitHere(now, TraceKind::kCryptoCharge, op, id,
                        static_cast<uint64_t>(cost), 0);
@@ -203,13 +196,7 @@ class CpuMeter {
   CryptoCostModel model_;
   std::vector<int64_t> busy_until_ns_;  // busy-until instants, ns
   std::vector<uint64_t> busy_ns_;       // total charged per replica, ns
-  uint64_t signs_ = 0;
-  uint64_t verifies_ = 0;
-  uint64_t hashes_ = 0;
-  uint64_t hashed_bytes_ = 0;
-  uint64_t qc_aggregated_shares_ = 0;
-  uint64_t qc_verifies_ = 0;
-  uint64_t busy_ns_total_ = 0;
+  CryptoReport counts_{.enabled = true};  // all but busy_ns_max_replica
 };
 
 }  // namespace optilog

@@ -74,7 +74,9 @@ inline void StateToDigest(const uint32_t state[8], uint8_t* out) {
 inline void CompressFinal(uint32_t state[8], const uint8_t* msg, size_t len,
                           uint64_t prefix_bytes) {
   uint8_t block[64] = {0};
-  std::memcpy(block, msg, len);
+  if (len > 0) {  // an empty message may come with a null pointer
+    std::memcpy(block, msg, len);
+  }
   block[len] = 0x80;
   const uint64_t bits = (prefix_bytes + len) * 8;
   for (int i = 0; i < 8; ++i) {

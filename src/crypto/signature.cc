@@ -47,7 +47,9 @@ SigBytes KeyStore::ComputeSig(ReplicaId signer, const uint8_t* msg,
     // The dominant case — protocol signatures cover 32-byte digests. Both
     // halves fit HmacSha256Short's single final block, msg || 0x01 included.
     uint8_t ext[55];
-    std::memcpy(ext, msg, len);
+    if (len > 0) {  // an empty message may come with a null pointer
+      std::memcpy(ext, msg, len);
+    }
     ext[len] = 0x01;
     const Digest first = HmacSha256Short(ks, msg, len);
     const Digest second = HmacSha256Short(ks, ext, len + 1);

@@ -160,11 +160,10 @@ class TreeRsm : public ConsensusEngine, public TimerTarget {
   Simulator* sim() { return sim_; }
   Network* net() { return net_; }
 
-  const ThroughputRecorder& throughput() const { return throughput_; }
   const LatencyRecorder& latency_rec() const { return latency_rec_; }
   // Present only when options().workload is set.
-  const ClientFleet* fleet() const { return fleet_.get(); }
-  const RequestQueue* request_queue() const { return queue_.get(); }
+  const ClientFleet* client_fleet() const override { return fleet_.get(); }
+  const RequestQueue* request_queue() const override { return queue_.get(); }
   uint64_t committed_blocks() const { return committed_blocks_; }
   uint64_t failed_rounds() const { return failed_rounds_; }
   uint64_t reconfigurations() const { return reconfigurations_; }

@@ -22,50 +22,46 @@
 #include <utility>
 #include <vector>
 
+#include "src/rsm/metrics.h"
 #include "src/sim/simulator.h"
 
 namespace optilog {
 
 class GaugeSampler final : public TimerTarget {
  public:
-  struct Series {
-    std::string name;
-    std::vector<double> values;  // one per elapsed interval, in time order
-  };
-
-  GaugeSampler(Simulator* sim, SimTime interval)
-      : sim_(sim), interval_(interval) {}
+  GaugeSampler(Simulator* sim, SimTime interval) : sim_(sim) {
+    report_.enabled = true;
+    report_.interval = interval;
+  }
   GaugeSampler(const GaugeSampler&) = delete;
   GaugeSampler& operator=(const GaugeSampler&) = delete;
-
-  SimTime interval() const { return interval_; }
 
   // Registers a gauge. Registration order is the series order everywhere
   // (report, JSON, fingerprint), so callers register in a fixed order.
   void Add(std::string name, std::function<double()> read) {
     reads_.push_back(std::move(read));
-    series_.push_back(Series{std::move(name), {}});
+    report_.series.push_back({std::move(name), {}});
   }
 
   // Schedules the first sample one interval from now.
-  void Start() { sim_->ScheduleTimer(this, 0, interval_); }
+  void Start() { sim_->ScheduleTimer(this, 0, report_.interval); }
 
   void OnTimer(uint64_t tag, SimTime at) override {
     (void)tag;
     (void)at;
     for (size_t i = 0; i < reads_.size(); ++i) {
-      series_[i].values.push_back(reads_[i]());
+      report_.series[i].values.push_back(reads_[i]());
     }
-    sim_->ScheduleTimer(this, 0, interval_);
+    sim_->ScheduleTimer(this, 0, report_.interval);
   }
 
-  const std::vector<Series>& series() const { return series_; }
+  // The samples so far, one value per elapsed interval in time order.
+  const TimeseriesReport& report() const { return report_; }
 
  private:
   Simulator* sim_;
-  SimTime interval_;
   std::vector<std::function<double()>> reads_;
-  std::vector<Series> series_;
+  TimeseriesReport report_;
 };
 
 }  // namespace optilog

@@ -128,11 +128,11 @@ class PbftHarness : public ConsensusEngine, public TimerTarget {
   const WeightScheme& scheme() const { return space_.scheme(); }
   const PbftOptions& options() const { return opts_; }
   const WorkloadClient& client(uint32_t i) const { return fleet_->client(i); }
-  const ClientFleet& fleet() const { return *fleet_; }
+  const ClientFleet* client_fleet() const override { return fleet_.get(); }
   Simulator* sim() { return sim_; }
 
   uint64_t committed_instances() const { return committed_instances_; }
-  const RequestQueue* request_queue() const { return queue_.get(); }
+  const RequestQueue* request_queue() const override { return queue_.get(); }
   const std::vector<SimTime>& reconfigure_times() const { return reconfig_times_; }
   const std::vector<SimTime>& suspicion_times() const { return suspicion_times_; }
   const LatencyMatrix& matrix() const { return pipeline_->latency_monitor().matrix(); }

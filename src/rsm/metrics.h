@@ -1,14 +1,21 @@
 // Throughput and latency recording, matching how the paper reports results:
 // throughput/latency sampled every second over the run (§7.3), averaged with
-// 95% confidence intervals.
+// 95% confidence intervals. Each report struct carries its field table
+// (Schema, see src/util/metrics_schema.h); MetricsFingerprint, the runner
+// JSON and FoldReports walk it, so a new metric is one row.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "src/crypto/sha256.h"
 #include "src/sim/event_core.h"
 #include "src/sim/time.h"
+#include "src/util/metrics_schema.h"
 #include "src/util/stats.h"
 
 namespace optilog {
@@ -95,6 +102,30 @@ struct WorkloadReport {
   double latency_p50_ms = 0.0;
   double latency_p95_ms = 0.0;
   double latency_p99_ms = 0.0;
+
+  template <typename V>
+  static void Schema(V&& v) {
+    using S = WorkloadReport;
+    OL_METRIC(enabled, kFingerprint, kMax);
+    OL_METRIC(requests_sent, kFingerprint, kSum);
+    OL_METRIC(requests_completed, kFingerprint, kSum);
+    OL_METRIC(requests_retried, kFingerprint, kSum);
+    OL_METRIC(requests_abandoned, kFingerprint, kSum);
+    OL_METRIC(requests_accepted, kFingerprint, kSum);
+    OL_METRIC(requests_dropped, kFingerprint, kSum);
+    OL_METRIC(requests_deduped, kFingerprint, kSum);
+    OL_METRIC(batches_size_triggered, kFingerprint, kSum);
+    OL_METRIC(batches_deadline_triggered, kFingerprint, kSum);
+    OL_METRIC(batches_idle_triggered, kFingerprint, kSum);
+    OL_METRIC(peak_queue_depth, kFingerprint, kMax);
+    OL_METRIC(kv_checks, kFingerprint, kSum);
+    OL_METRIC(kv_mismatches, kFingerprint, kSum);
+    // Percentiles do not fold across shards: left at zero in the aggregate.
+    OL_METRIC(latency_mean_ms, kFingerprint, kNone);
+    OL_METRIC(latency_p50_ms, kFingerprint, kNone);
+    OL_METRIC(latency_p95_ms, kFingerprint, kNone);
+    OL_METRIC(latency_p99_ms, kFingerprint, kNone);
+  }
 };
 
 // Replicated-state-machine accounting (src/statemachine/), filled when the
@@ -121,6 +152,28 @@ struct StateMachineReport {
   uint64_t transfer_reroutes = 0;  // donor switches after a timeout
   double catchup_ms_total = 0.0;   // sim-time cost of completed recoveries
   double catchup_ms_max = 0.0;
+
+  template <typename V>
+  static void Schema(V&& v) {
+    using S = StateMachineReport;
+    OL_METRIC(enabled, kFingerprint, kMax);
+    OL_METRIC(applied, kFingerprint, kSum);
+    OL_METRIC(checkpoints, kFingerprint, kSum);
+    OL_METRIC(truncations, kFingerprint, kSum);
+    OL_METRIC(peak_log_entries, kFingerprint, kMax);
+    OL_METRIC(live_log_entries, kFingerprint, kSum);
+    OL_METRIC(digests_equal, kFingerprint, kAnd);
+    // The whole-deployment state identity the sharding tests pin.
+    OL_METRIC(state_digest_hex, kFingerprint, kDigestOfDigests);
+    OL_METRIC(recoveries_started, kFingerprint, kSum);
+    OL_METRIC(recoveries_completed, kFingerprint, kSum);
+    OL_METRIC(catchups_started, kFingerprint, kSum);
+    OL_METRIC(transfer_bytes, kFingerprint, kSum);
+    OL_METRIC(transfer_chunks, kFingerprint, kSum);
+    OL_METRIC(transfer_reroutes, kFingerprint, kSum);
+    OL_METRIC(catchup_ms_total, kFingerprint, kSum);
+    OL_METRIC(catchup_ms_max, kFingerprint, kMax);
+  }
 };
 
 // Cross-shard transaction accounting (src/shard/), filled only by sharded
@@ -154,6 +207,35 @@ struct TxnReport {
   double cross_shard_p50_ms = 0.0;
   double cross_shard_p95_ms = 0.0;
   double cross_shard_p99_ms = 0.0;
+
+  // Agg folds the coordinators' 2PC counters; the fleet fills the rest.
+  template <typename V>
+  static void Schema(V&& v) {
+    using S = TxnReport;
+    OL_METRIC(enabled, kGate, kMax);
+    OL_METRIC(submitted, kFingerprint, kSum);
+    OL_METRIC(committed, kFingerprint, kSum);
+    OL_METRIC(aborted, kFingerprint, kSum);
+    OL_METRIC(retried, kFingerprint, kSum);
+    OL_METRIC(committed_single, kFingerprint, kSum);
+    OL_METRIC(committed_cross, kFingerprint, kSum);
+    OL_METRIC(prepares_sent, kFingerprint, kSum);
+    OL_METRIC(votes_no, kFingerprint, kSum);
+    OL_METRIC(coord_duplicates, kFingerprint, kSum);
+    OL_METRIC(recovered_commits, kFingerprint, kSum);
+    OL_METRIC(recovered_aborts, kFingerprint, kSum);
+    OL_METRIC(kv_checks, kFingerprint, kSum);
+    OL_METRIC(kv_mismatches, kFingerprint, kSum);
+    OL_METRIC(committed_per_sec, kFingerprint, kElementwiseSum);
+    OL_METRIC(single_mean_ms, kFingerprint, kNone);
+    OL_METRIC(single_p50_ms, kFingerprint, kNone);
+    OL_METRIC(single_p95_ms, kFingerprint, kNone);
+    OL_METRIC(single_p99_ms, kFingerprint, kNone);
+    OL_METRIC(cross_mean_ms, kFingerprint, kNone);
+    OL_METRIC(cross_shard_p50_ms, kFingerprint, kNone);
+    OL_METRIC(cross_shard_p95_ms, kFingerprint, kNone);
+    OL_METRIC(cross_shard_p99_ms, kFingerprint, kNone);
+  }
 };
 
 // Modeled crypto/CPU accounting (src/crypto/cost_model.h), filled when the
@@ -171,14 +253,27 @@ struct CryptoReport {
   uint64_t qc_verifies = 0;
   uint64_t busy_ns_total = 0;
   uint64_t busy_ns_max_replica = 0;
+
+  template <typename V>
+  static void Schema(V&& v) {
+    using S = CryptoReport;
+    OL_METRIC(enabled, kGate, kMax);
+    OL_METRIC(signs, kFingerprint, kSum);
+    OL_METRIC(verifies, kFingerprint, kSum);
+    OL_METRIC(hashes, kFingerprint, kSum);
+    OL_METRIC(hashed_bytes, kFingerprint, kSum);
+    OL_METRIC(qc_aggregated_shares, kFingerprint, kSum);
+    OL_METRIC(qc_verifies, kFingerprint, kSum);
+    OL_METRIC(busy_ns_total, kFingerprint, kSum);
+    OL_METRIC(busy_ns_max_replica, kFingerprint, kMax);
+  }
 };
 
 // Gauge time-series sampled on simulated time (src/obs/gauge.h), filled when
 // the deployment enables gauge sampling; all empty with `enabled == false`.
 // Every series holds one value per elapsed `interval` of sim time, sampled
 // from partition-confined state only — byte-identical at any --sim-threads
-// value. Folded into the metrics fingerprint only when enabled, so
-// sampling-free runs keep their fingerprints.
+// value.
 struct TimeseriesReport {
   bool enabled = false;
   SimTime interval = 0;  // sampling period (sim time)
@@ -187,6 +282,17 @@ struct TimeseriesReport {
     std::vector<double> values;
   };
   std::vector<Series> series;
+
+  // Each shard samples on its own partition clock at the same interval, so
+  // the per-shard arrays are individually driver-invariant and their
+  // concatenation is too.
+  template <typename V>
+  static void Schema(V&& v) {
+    using S = TimeseriesReport;
+    OL_METRIC(enabled, kGate, kMax);
+    OL_METRIC(interval, kFingerprint, kMax);
+    OL_METRIC(series, kFingerprint, kPrefixedConcat);
+  }
 };
 
 // Protocol-agnostic snapshot of a run's outcome: what every ConsensusEngine
@@ -228,18 +334,137 @@ struct MetricsReport {
   uint64_t wire_messages = 0;
   uint64_t wire_bytes = 0;
   // Modeled crypto/CPU accounting; enabled only under
-  // Deployment::Builder::WithCryptoCostModel. Folded into the metrics
-  // fingerprint only when enabled, so cost-model-free runs keep their
-  // pre-cost-model fingerprints.
+  // Deployment::Builder::WithCryptoCostModel.
   CryptoReport crypto;
   // Periodic gauge samples (src/obs/gauge.h); enabled only under
   // Deployment::Builder::WithGaugeSampling.
   TimeseriesReport timeseries;
 
+  // The field table (src/util/metrics_schema.h), in fingerprint order. The
+  // gated sections only join the fingerprint when enabled, so runs without
+  // them keep the digests they had before each section existed.
+  template <typename V>
+  static void Schema(V&& v) {
+    using S = MetricsReport;
+    OL_METRIC(committed, kFingerprint, kSum);
+    OL_METRIC(total_commands, kFingerprint, kSum);
+    OL_METRIC(failed_rounds, kFingerprint, kSum);
+    OL_METRIC(reconfigurations, kFingerprint, kSum);
+    OL_METRIC(suspicions, kFingerprint, kSum);
+    OL_METRIC(mean_latency_ms, kFingerprint, kWeightedMean);
+    OL_METRIC(throughput_per_sec, kFingerprint, kElementwiseSum);
+    OL_METRIC(reconfig_times, kFingerprint, kSortedConcat);
+    OL_METRIC(suspicion_times, kFingerprint, kSortedConcat);
+    OL_METRIC(log_head_hex, kFingerprint, kNone);
+    // Summed across partitions, not shards (ShardedDeployment::Metrics).
+    v.Section(&S::event_core, Agg::kNone);
+    v.Mark("|");  // fingerprint only: closes the event-core block
+    v.Section(&S::workload, Agg::kRows);
+    v.Section(&S::statemachine, Agg::kRows);
+    v.Gate(&S::txn, "txn");
+    v.Section(&S::txn, Agg::kNone);  // shard reports never carry it
+    v.Gate(&S::timeseries, "ts");
+    v.Section(&S::timeseries, Agg::kRows);
+    v.Gate(&S::crypto, "crypto");
+    OL_METRIC(wire_messages, kFingerprint, kSum);
+    OL_METRIC(wire_bytes, kFingerprint, kSum);
+    v.Section(&S::crypto, Agg::kRows);
+  }
+
   double MeanOps(size_t from_sec, size_t to_sec) const {
     return MeanOpsPerSec(throughput_per_sec, from_sec, to_sec);
   }
 };
+
+namespace detail {
+
+// Folds each row of one report struct across the parts whose section is
+// enabled, in order, by the row's Agg policy.
+template <typename R>
+struct Fold {
+  R& out;
+  std::vector<std::pair<size_t, const R*>> parts;  // (shard index, report)
+
+  template <typename T>
+  void operator()(T R::*field, const char*, Emit, Agg agg) {
+    T& acc = out.*field;
+    double weighted = 0.0;
+    double weight = 0.0;
+    bool all = !parts.empty();
+    std::string concat;
+    for (const auto& [si, r] : parts) {
+      const T& x = r->*field;
+      if constexpr (std::is_arithmetic_v<T>) {
+        acc = agg == Agg::kSum   ? static_cast<T>(acc + x)
+              : agg == Agg::kMax ? std::max(acc, x)
+                                 : acc;
+        all = all && x != 0;
+        if constexpr (requires { r->committed; }) {
+          const double w = static_cast<double>(r->committed);
+          weighted += static_cast<double>(x) * w;
+          weight += w;
+        }
+      } else if constexpr (std::is_same_v<T, std::string>) {
+        all = all && !x.empty();
+        concat += x;
+      } else if constexpr (std::is_same_v<T, std::vector<TimeseriesReport::Series>>) {
+        for (const TimeseriesReport::Series& s : x) {
+          acc.push_back({"s" + std::to_string(si) + "." + s.name, s.values});
+        }
+      } else if (agg == Agg::kSortedConcat) {
+        acc.insert(acc.end(), x.begin(), x.end());
+        std::sort(acc.begin(), acc.end());
+      } else if (agg == Agg::kElementwiseSum) {
+        acc.resize(std::max(acc.size(), x.size()), 0);
+        for (size_t i = 0; i < x.size(); ++i) {
+          acc[i] += x[i];
+        }
+      }
+    }
+    if constexpr (std::is_arithmetic_v<T>) {
+      if (agg == Agg::kAnd) {
+        acc = all ? 1 : 0;
+      } else if (agg == Agg::kWeightedMean && weight > 0) {
+        acc = static_cast<T>(weighted / weight);
+      }
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      if (agg == Agg::kDigestOfDigests && all) {
+        acc = DigestHex(Sha256::Hash(concat));
+      }
+    }
+  }
+  template <typename Sub>
+  void Section(Sub R::*section, Agg agg) {
+    if constexpr (requires(const Sub& x) { x.enabled; }) {
+      Fold<Sub> sub{out.*section, {}};
+      for (const auto& [si, r] : parts) {
+        if ((r->*section).enabled) {
+          sub.parts.emplace_back(si, &(r->*section));
+        }
+      }
+      if (agg == Agg::kRows) {
+        Sub::Schema(sub);
+      }
+    }
+  }
+  template <typename Sub>
+  void Gate(Sub R::*, const char*) {}
+  void Mark(const char*) {}
+};
+
+}  // namespace detail
+
+// Folds `parts`, in order, into `out` by each schema row's Agg policy; kNone
+// rows keep `out`'s value. Serves the shard aggregate, the partition sum of
+// the event core, and report halves kept by different owners.
+template <typename R>
+void FoldReports(R& out, const std::vector<R>& parts) {
+  detail::Fold<R> fold{out, {}};
+  for (const R& part : parts) {
+    fold.parts.emplace_back(fold.parts.size(), &part);
+  }
+  R::Schema(fold);
+}
 
 // Consensus latency accumulator (proposal sent -> block committed). A
 // Welford accumulator carries the exact mean/CI; the fixed log-bucket

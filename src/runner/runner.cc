@@ -1,6 +1,7 @@
 #include "src/runner/runner.h"
 
 #include <chrono>
+#include <type_traits>
 
 #include "src/crypto/sha256.h"
 #include "src/util/check.h"
@@ -21,6 +22,33 @@ void WriteTable(JsonWriter& w,
   }
   w.EndArray();
 }
+
+// Writes the event-core rows of the deterministic body (fingerprinted and
+// JSON-only rows) or, with `advisory`, of the full JSON's parallel block.
+struct EventCoreJson {
+  JsonWriter& w;
+  const EventCoreStats& ec;
+  bool advisory;
+
+  template <typename T>
+  void operator()(T EventCoreStats::*field, const char* key, Emit emit, Agg) {
+    const bool in_body =
+        Fingerprinted(emit, ec.partitions) || emit == Emit::kJsonOnly;
+    if (key == nullptr || (advisory ? emit != Emit::kAdvisory : !in_body)) {
+      return;
+    }
+    w.Key(key);
+    if constexpr (std::is_same_v<T, std::vector<double>>) {
+      w.BeginArray();
+      for (double v : ec.*field) {
+        w.Double(v);
+      }
+      w.EndArray();
+    } else {
+      w.Uint(ec.*field);
+    }
+  }
+};
 
 // The deterministic body: everything except the digests' trailing fields
 // and the advisory wall clocks (include_wall adds the per-point wall_ms for
@@ -64,26 +92,7 @@ void WriteBody(JsonWriter& w, const ScenarioRunResult& r, bool include_wall) {
     }
     const EventCoreStats& ec = p.event_core;
     w.Key("event_core").BeginObject();
-    w.Key("events_executed").Uint(ec.events_executed);
-    w.Key("typed_deliveries").Uint(ec.typed_deliveries);
-    w.Key("typed_timers").Uint(ec.typed_timers);
-    w.Key("closure_events").Uint(ec.closure_events);
-    w.Key("cancellations").Uint(ec.cancellations);
-    if (ec.partitions > 1) {
-      // Partitioned execution: the slab/pending high-water marks depend on
-      // when cross-partition records sit in executor lanes vs. destination
-      // queues, so they are driver-dependent (merged inserts eagerly,
-      // windowed at barriers) and leave the deterministic body; the
-      // partition count takes their place. Single-partition points emit
-      // the exact bytes they always did.
-      w.Key("partitions").Uint(ec.partitions);
-    } else {
-      w.Key("peak_slab_slots").Uint(ec.peak_slab_slots);
-      w.Key("peak_pending").Uint(ec.peak_pending);
-    }
-    w.Key("wheel_overflow_events").Uint(ec.wheel_overflow_events);
-    w.Key("message_pool_hits").Uint(ec.message_pool_hits);
-    w.Key("message_pool_misses").Uint(ec.message_pool_misses);
+    EventCoreStats::Schema(EventCoreJson{w, ec, /*advisory=*/false});
     w.EndObject();
     w.Key("digest").String(p.digest);
     if (include_wall) {
@@ -92,13 +101,7 @@ void WriteBody(JsonWriter& w, const ScenarioRunResult& r, bool include_wall) {
         // Advisory parallel-execution block: wall-clock- and
         // driver-dependent, full JSON only (never digested).
         w.Key("parallel").BeginObject();
-        w.Key("lookahead_us").Uint(ec.lookahead_us);
-        w.Key("barrier_count").Uint(ec.barrier_count);
-        w.Key("partition_ev_per_sec").BeginArray();
-        for (double v : ec.partition_ev_per_sec) {
-          w.Double(v);
-        }
-        w.EndArray();
+        EventCoreStats::Schema(EventCoreJson{w, ec, /*advisory=*/true});
         w.EndObject();
       }
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <type_traits>
 
 #include "src/crypto/sha256.h"
 #include "src/util/check.h"
@@ -153,140 +154,74 @@ std::string FormatDouble(double v) {
   return std::string(buf, res.ptr);
 }
 
-std::string MetricsFingerprint(const MetricsReport& m) {
-  std::string blob;
-  auto u = [&blob](uint64_t v) { blob += std::to_string(v) + "|"; };
-  u(m.committed);
-  u(m.total_commands);
-  u(m.failed_rounds);
-  u(m.reconfigurations);
-  u(m.suspicions);
-  blob += FormatDouble(m.mean_latency_ms) + "|";
-  for (uint64_t ops : m.throughput_per_sec) {
-    u(ops);
-  }
-  blob += "|";
-  for (SimTime t : m.reconfig_times) {
-    u(static_cast<uint64_t>(t));
-  }
-  blob += "|";
-  for (SimTime t : m.suspicion_times) {
-    u(static_cast<uint64_t>(t));
-  }
-  blob += "|" + m.log_head_hex + "|";
-  u(m.event_core.events_executed);
-  u(m.event_core.typed_deliveries);
-  u(m.event_core.typed_timers);
-  u(m.event_core.closure_events);
-  u(m.event_core.cancellations);
-  if (m.event_core.partitions > 1) {
-    // Partitioned execution: the slab/pending high-water marks depend on
-    // when cross-partition records sit in executor lanes vs. destination
-    // queues — merged driver inserts eagerly, windowed at barriers — so
-    // they are driver-dependent even though the executed event sequence is
-    // byte-identical. The partition count (a pure function of the
-    // deployment shape) takes their place in the blob. Single-partition
-    // runs hash the exact same blob as before partitioned execution.
-    blob += "par|";
-    u(m.event_core.partitions);
-  } else {
-    u(m.event_core.peak_slab_slots);
-    u(m.event_core.peak_pending);
-  }
-  blob += "|";
-  u(m.workload.enabled ? 1 : 0);
-  u(m.workload.requests_sent);
-  u(m.workload.requests_completed);
-  u(m.workload.requests_retried);
-  u(m.workload.requests_abandoned);
-  u(m.workload.requests_accepted);
-  u(m.workload.requests_dropped);
-  u(m.workload.requests_deduped);
-  u(m.workload.batches_size_triggered);
-  u(m.workload.batches_deadline_triggered);
-  u(m.workload.batches_idle_triggered);
-  u(m.workload.peak_queue_depth);
-  u(m.workload.kv_checks);
-  u(m.workload.kv_mismatches);
-  blob += FormatDouble(m.workload.latency_mean_ms) + "|";
-  blob += FormatDouble(m.workload.latency_p50_ms) + "|";
-  blob += FormatDouble(m.workload.latency_p95_ms) + "|";
-  blob += FormatDouble(m.workload.latency_p99_ms) + "|";
-  u(m.statemachine.enabled ? 1 : 0);
-  u(m.statemachine.applied);
-  u(m.statemachine.checkpoints);
-  u(m.statemachine.truncations);
-  u(m.statemachine.peak_log_entries);
-  u(m.statemachine.live_log_entries);
-  u(m.statemachine.digests_equal);
-  blob += m.statemachine.state_digest_hex + "|";
-  u(m.statemachine.recoveries_started);
-  u(m.statemachine.recoveries_completed);
-  u(m.statemachine.catchups_started);
-  u(m.statemachine.transfer_bytes);
-  u(m.statemachine.transfer_chunks);
-  u(m.statemachine.transfer_reroutes);
-  blob += FormatDouble(m.statemachine.catchup_ms_total) + "|";
-  blob += FormatDouble(m.statemachine.catchup_ms_max) + "|";
-  // Transaction section: appended only when a sharded transaction workload
-  // ran, so every pre-sharding fingerprint (and the one-shard-equals-legacy
-  // pin) hashes the exact same blob as before.
-  if (m.txn.enabled) {
-    blob += "txn|";
-    u(m.txn.submitted);
-    u(m.txn.committed);
-    u(m.txn.aborted);
-    u(m.txn.retried);
-    u(m.txn.committed_single);
-    u(m.txn.committed_cross);
-    u(m.txn.prepares_sent);
-    u(m.txn.votes_no);
-    u(m.txn.coord_duplicates);
-    u(m.txn.recovered_commits);
-    u(m.txn.recovered_aborts);
-    u(m.txn.kv_checks);
-    u(m.txn.kv_mismatches);
-    for (uint64_t t : m.txn.committed_per_sec) {
-      u(t);
-    }
-    blob += "|" + FormatDouble(m.txn.single_mean_ms) + "|";
-    blob += FormatDouble(m.txn.single_p50_ms) + "|";
-    blob += FormatDouble(m.txn.single_p95_ms) + "|";
-    blob += FormatDouble(m.txn.single_p99_ms) + "|";
-    blob += FormatDouble(m.txn.cross_mean_ms) + "|";
-    blob += FormatDouble(m.txn.cross_shard_p50_ms) + "|";
-    blob += FormatDouble(m.txn.cross_shard_p95_ms) + "|";
-    blob += FormatDouble(m.txn.cross_shard_p99_ms) + "|";
-  }
-  // Timeseries section: appended only when gauge sampling ran, so every
-  // sampling-free run (tracing included — the recorder is schedule-neutral)
-  // hashes the exact same blob as before the observability layer.
-  if (m.timeseries.enabled) {
-    blob += "ts|";
-    u(static_cast<uint64_t>(m.timeseries.interval));
-    for (const TimeseriesReport::Series& s : m.timeseries.series) {
-      blob += s.name + "|";
-      for (double v : s.values) {
-        blob += FormatDouble(v) + "|";
+namespace {
+
+// Appends one value as "v|", a list as its items then "|" (gauge series
+// excepted: the blob layout the committed digests pin).
+template <typename T>
+void Put(std::string& out, const T& v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    out += v + "|";
+  } else if constexpr (std::is_floating_point_v<T>) {
+    out += FormatDouble(v) + "|";
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    out += std::to_string(static_cast<uint64_t>(v)) + "|";
+  } else if constexpr (std::is_same_v<T, std::vector<TimeseriesReport::Series>>) {
+    for (const TimeseriesReport::Series& s : v) {
+      out += s.name + "|";
+      for (double x : s.values) {
+        Put(out, x);
       }
     }
+  } else {
+    for (const auto& x : v) {
+      Put(out, x);
+    }
+    out += "|";
   }
-  // Crypto/wire section: appended only under a CryptoCostModel, so every
-  // cost-model-free fingerprint hashes the exact same blob as before the
-  // wire/cost redesign — the acceptance gate for the canonical encodings.
-  if (m.crypto.enabled) {
-    blob += "crypto|";
-    u(m.wire_messages);
-    u(m.wire_bytes);
-    u(m.crypto.signs);
-    u(m.crypto.verifies);
-    u(m.crypto.hashes);
-    u(m.crypto.hashed_bytes);
-    u(m.crypto.qc_aggregated_shares);
-    u(m.crypto.qc_verifies);
-    u(m.crypto.busy_ns_total);
-    u(m.crypto.busy_ns_max_replica);
+}
+
+template <typename R>
+struct Fingerprinter {
+  const R& r;
+  std::string& out;
+  uint32_t partitions;
+  bool& gated_off;  // after a Gate whose section is off
+
+  template <typename T>
+  void operator()(T R::*field, const char*, Emit emit, Agg) {
+    if (gated_off || !Fingerprinted(emit, partitions)) {
+      return;
+    }
+    if (emit == Emit::kMultiPartition) {
+      out += "par|";
+    }
+    Put(out, r.*field);
   }
+  template <typename Sub>
+  void Section(Sub R::*section, Agg) {
+    Sub::Schema(Fingerprinter<Sub>{r.*section, out, partitions, gated_off});
+  }
+  template <typename Sub>
+  void Gate(Sub R::*section, const char* tag) {
+    gated_off = !(r.*section).enabled;
+    Mark(tag);
+    Mark("|");
+  }
+  void Mark(const char* text) {
+    if (!gated_off) {
+      out += text;
+    }
+  }
+};
+
+}  // namespace
+
+std::string MetricsFingerprint(const MetricsReport& m) {
+  std::string blob;
+  bool gated_off = false;
+  MetricsReport::Schema(Fingerprinter<MetricsReport>{
+      m, blob, m.event_core.partitions, gated_off});
   return DigestHex(Sha256::Hash(blob));
 }
 

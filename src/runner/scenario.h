@@ -132,9 +132,9 @@ struct ScenarioRegistrar {
   explicit ScenarioRegistrar(Scenario s);
 };
 
-// SHA-256 over every deterministic field of a MetricsReport (counts, the
-// formatted latency, the per-second series, reconfig/suspicion times, the
-// log head, the event-core counters). Two runs with equal fingerprints
+// SHA-256 over the fingerprinted rows of the MetricsReport schema, in table
+// order with each gated section only when enabled (src/rsm/metrics.h).
+// Two runs with equal fingerprints
 // executed the same schedule; this is the digest sweeps pin when the
 // deployment has no measurement bus of its own.
 std::string MetricsFingerprint(const MetricsReport& m);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "src/crypto/sha256.h"
 #include "src/util/check.h"
 
 namespace optilog {
@@ -75,135 +74,25 @@ MetricsReport ShardedDeployment::Metrics() {
   if (shards_.size() == 1 && fleet_ == nullptr) {
     return shards_[0]->Metrics();
   }
-
+  std::vector<MetricsReport> reports;
+  for (auto& d : shards_) {
+    reports.push_back(d->Metrics());
+  }
   MetricsReport agg;
-  uint64_t latency_weight = 0;
-  double latency_sum = 0.0;
-  bool digests_equal = true;
-  std::string digest_concat;
-  for (size_t si = 0; si < shards_.size(); ++si) {
-    Deployment* d = shards_[si].get();
-    MetricsReport m = d->Metrics();
-    agg.committed += m.committed;
-    agg.total_commands += m.total_commands;
-    agg.failed_rounds += m.failed_rounds;
-    agg.reconfigurations += m.reconfigurations;
-    agg.suspicions += m.suspicions;
-    latency_sum += m.mean_latency_ms * static_cast<double>(m.committed);
-    latency_weight += m.committed;
-    if (agg.throughput_per_sec.size() < m.throughput_per_sec.size()) {
-      agg.throughput_per_sec.resize(m.throughput_per_sec.size(), 0);
-    }
-    for (size_t i = 0; i < m.throughput_per_sec.size(); ++i) {
-      agg.throughput_per_sec[i] += m.throughput_per_sec[i];
-    }
-    agg.reconfig_times.insert(agg.reconfig_times.end(),
-                              m.reconfig_times.begin(), m.reconfig_times.end());
-    agg.suspicion_times.insert(agg.suspicion_times.end(),
-                               m.suspicion_times.begin(),
-                               m.suspicion_times.end());
-    agg.wire_messages += m.wire_messages;
-    agg.wire_bytes += m.wire_bytes;
-    if (m.crypto.enabled) {
-      agg.crypto.enabled = true;
-      agg.crypto.signs += m.crypto.signs;
-      agg.crypto.verifies += m.crypto.verifies;
-      agg.crypto.hashes += m.crypto.hashes;
-      agg.crypto.hashed_bytes += m.crypto.hashed_bytes;
-      agg.crypto.qc_aggregated_shares += m.crypto.qc_aggregated_shares;
-      agg.crypto.qc_verifies += m.crypto.qc_verifies;
-      agg.crypto.busy_ns_total += m.crypto.busy_ns_total;
-      agg.crypto.busy_ns_max_replica =
-          std::max(agg.crypto.busy_ns_max_replica, m.crypto.busy_ns_max_replica);
-    }
+  FoldReports(agg, reports);
 
-    const WorkloadReport& w = m.workload;
-    if (w.enabled) {
-      agg.workload.enabled = true;
-      agg.workload.requests_sent += w.requests_sent;
-      agg.workload.requests_completed += w.requests_completed;
-      agg.workload.requests_retried += w.requests_retried;
-      agg.workload.requests_abandoned += w.requests_abandoned;
-      agg.workload.requests_accepted += w.requests_accepted;
-      agg.workload.requests_dropped += w.requests_dropped;
-      agg.workload.requests_deduped += w.requests_deduped;
-      agg.workload.batches_size_triggered += w.batches_size_triggered;
-      agg.workload.batches_deadline_triggered += w.batches_deadline_triggered;
-      agg.workload.batches_idle_triggered += w.batches_idle_triggered;
-      agg.workload.peak_queue_depth =
-          std::max(agg.workload.peak_queue_depth, w.peak_queue_depth);
-      agg.workload.kv_checks += w.kv_checks;
-      agg.workload.kv_mismatches += w.kv_mismatches;
-    }
-
-    const StateMachineReport& s = m.statemachine;
-    if (s.enabled) {
-      agg.statemachine.enabled = true;
-      agg.statemachine.applied += s.applied;
-      agg.statemachine.checkpoints += s.checkpoints;
-      agg.statemachine.truncations += s.truncations;
-      agg.statemachine.peak_log_entries =
-          std::max(agg.statemachine.peak_log_entries, s.peak_log_entries);
-      agg.statemachine.live_log_entries += s.live_log_entries;
-      digests_equal = digests_equal && s.digests_equal != 0;
-      digest_concat += s.state_digest_hex;
-      agg.statemachine.recoveries_started += s.recoveries_started;
-      agg.statemachine.recoveries_completed += s.recoveries_completed;
-      agg.statemachine.catchups_started += s.catchups_started;
-      agg.statemachine.transfer_bytes += s.transfer_bytes;
-      agg.statemachine.transfer_chunks += s.transfer_chunks;
-      agg.statemachine.transfer_reroutes += s.transfer_reroutes;
-      agg.statemachine.catchup_ms_total += s.catchup_ms_total;
-      agg.statemachine.catchup_ms_max =
-          std::max(agg.statemachine.catchup_ms_max, s.catchup_ms_max);
-    }
-
-    if (m.timeseries.enabled) {
-      // Per-shard series side by side under "s<i>." prefixes (shard order =
-      // series order); each shard samples on its own partition clock, so the
-      // arrays are individually driver-invariant and concatenation is too.
-      agg.timeseries.enabled = true;
-      agg.timeseries.interval = m.timeseries.interval;
-      const std::string prefix = "s" + std::to_string(si) + ".";
-      for (TimeseriesReport::Series& ts : m.timeseries.series) {
-        agg.timeseries.series.push_back(
-            {prefix + ts.name, std::move(ts.values)});
-      }
-    }
+  // Deterministic counters summed across partitions (identical under the
+  // merged and windowed drivers — every partition executes the same event
+  // sequence either way); the rest comes from the executor, if any.
+  std::vector<EventCoreStats> stats;
+  for (const auto& sim : psims_) {
+    stats.push_back(sim->event_core_stats());
   }
-  std::sort(agg.reconfig_times.begin(), agg.reconfig_times.end());
-  std::sort(agg.suspicion_times.begin(), agg.suspicion_times.end());
-  if (latency_weight > 0) {
-    agg.mean_latency_ms = latency_sum / static_cast<double>(latency_weight);
-  }
-  if (agg.statemachine.enabled) {
-    agg.statemachine.digests_equal = digests_equal ? 1 : 0;
-    // One digest over the ordered per-shard digests: the whole-deployment
-    // state identity the sharding tests pin.
-    agg.statemachine.state_digest_hex =
-        digests_equal ? DigestHex(Sha256::Hash(digest_concat)) : "";
-  }
-  if (partitions() > 1) {
-    // Deterministic counters summed across partitions (identical under the
-    // merged and windowed drivers — every partition executes the same event
-    // sequence either way). The peaks are per-partition high-water marks
-    // whose sum has no shared-simulator analogue, and the parallel fields
-    // are wall-clock advisories; the runner keeps all of those out of the
-    // fingerprint and the deterministic body.
-    EventCoreStats ec;
-    ec.partitions = partitions();
-    for (const auto& sim : psims_) {
-      const EventCoreStats s = sim->event_core_stats();
-      ec.events_executed += s.events_executed;
-      ec.typed_deliveries += s.typed_deliveries;
-      ec.typed_timers += s.typed_timers;
-      ec.closure_events += s.closure_events;
-      ec.cancellations += s.cancellations;
-      ec.peak_slab_slots += s.peak_slab_slots;
-      ec.peak_pending += s.peak_pending;
-      ec.wheel_overflow_events += s.wheel_overflow_events;
-      ec.message_pool_hits += s.message_pool_hits;
-      ec.message_pool_misses += s.message_pool_misses;
+  EventCoreStats& ec = agg.event_core;
+  FoldReports(ec, stats);
+  ec.wall_seconds = stats[0].wall_seconds;
+  if (exec_ != nullptr) {
+    for (const EventCoreStats& s : stats) {
       if (exec_->parallel()) {
         ec.partition_ev_per_sec.push_back(
             s.wall_seconds > 0.0
@@ -211,29 +100,23 @@ MetricsReport ShardedDeployment::Metrics() {
                 : 0.0);
       }
     }
+    ec.partitions = partitions();
     ec.wall_seconds = exec_->wall_seconds();
     ec.lookahead_us =
         exec_->lookahead() == PartitionExecutor::kUnboundedLookahead
             ? 0
             : static_cast<uint64_t>(exec_->lookahead());
     ec.barrier_count = exec_->barrier_count();
-    agg.event_core = ec;
-  } else {
-    // Every shard schedules on the shared simulator, so any shard's
-    // event-core view is THE event-core view.
-    agg.event_core = shards_[0]->Metrics().event_core;
   }
 
   if (fleet_ != nullptr) {
-    fleet_->FillReport(agg.txn);
+    // The fleet's client half plus the coordinators' 2PC counters.
+    std::vector<TxnReport> coords;
     for (auto& coord : coordinators_) {
-      const TxnCoordinator::Stats& cs = coord->stats();
-      agg.txn.prepares_sent += cs.prepares_sent;
-      agg.txn.votes_no += cs.votes_no;
-      agg.txn.coord_duplicates += cs.duplicates;
-      agg.txn.recovered_commits += cs.recovered_commits;
-      agg.txn.recovered_aborts += cs.recovered_aborts;
+      coords.push_back(coord->stats());
     }
+    agg.txn = fleet_->Report();
+    FoldReports(agg.txn, coords);
   }
   return agg;
 }

@@ -91,10 +91,11 @@ class ShardedDeployment {
   void RunFor(SimTime d) { RunUntil(clock_ + d); }
   void RunUntil(SimTime t);
 
-  // Aggregate metrics: per-shard sums, element-wise throughput, the merged
-  // event core (summed across partitions when partitioned), AND-of-shards
-  // digest agreement, and the transaction report. Exactly the single
-  // shard's report for a 1-shard, no-txn deployment.
+  // Aggregate metrics: the shard reports folded by FoldReports (shard order
+  // fixes the "s<i>." gauge prefixes and the digest of digests), the event
+  // core summed across partitions (the shared simulator's when
+  // unpartitioned), and the transaction report. Exactly the single shard's
+  // report for a 1-shard, no-txn deployment.
   MetricsReport Metrics();
   MetricsReport ShardMetrics(uint32_t s) { return shards_.at(s)->Metrics(); }
 

@@ -99,7 +99,7 @@ void TxnCoordinator::StartTxn(const TxnRequestMsg& req, SimTime at) {
   }
   const auto key = std::make_pair(req.client, req.request_id);
   if (by_client_.count(key) > 0) {
-    ++stats_.duplicates;  // retry of a known transaction: already in flight
+    ++stats_.coord_duplicates;  // retry of a known transaction: already in flight
     return;               // (or already answered; replies are reliable)
   }
   OL_CHECK(!req.ops.empty());
@@ -122,7 +122,6 @@ void TxnCoordinator::StartTxn(const TxnRequestMsg& req, SimTime at) {
       txn.participants.end());
 
   by_client_.emplace(key, txn_id);
-  ++stats_.txns;
   auto [it, inserted] = txns_.emplace(txn_id, std::move(txn));
   OL_CHECK(inserted);
   if (TraceRecorder* tr = sim_->trace()) {
@@ -302,19 +301,16 @@ void TxnCoordinator::AdvanceTxn(uint64_t txn_id, Txn& txn, SimTime at) {
         return;
       }
       // Single-participant transaction: decided and done.
-      ++stats_.committed;
       ReplyToClient(txn, /*committed=*/true, at);
       BeginPhase(txn_id, txn, Phase::kEndAll, at);
       return;
     }
     case Phase::kCommitRest: {
-      ++stats_.committed;
       ReplyToClient(txn, /*committed=*/true, at);
       BeginPhase(txn_id, txn, Phase::kEndAll, at);
       return;
     }
     case Phase::kAbortAll: {
-      ++stats_.aborted;
       ReplyToClient(txn, /*committed=*/false, at);
       txns_.erase(txn_id);
       return;

@@ -34,6 +34,7 @@
 #include <set>
 #include <vector>
 
+#include "src/rsm/metrics.h"
 #include "src/sim/actor.h"
 #include "src/statemachine/state_machine.h"
 
@@ -61,17 +62,8 @@ class TxnCoordinator : public Actor {
   ReplicaId id() const { return id_; }
   ReplicaId anchor() const { return anchor_; }
 
-  struct Stats {
-    uint64_t txns = 0;              // distinct transactions accepted
-    uint64_t committed = 0;
-    uint64_t aborted = 0;
-    uint64_t prepares_sent = 0;
-    uint64_t votes_no = 0;
-    uint64_t duplicates = 0;        // client retries deduped
-    uint64_t recovered_commits = 0;
-    uint64_t recovered_aborts = 0;
-  };
-  const Stats& stats() const { return stats_; }
+  // This coordinator's 2PC counters (prepares, no-votes, dedups, recoveries).
+  const TxnReport& stats() const { return stats_; }
 
  private:
   // Which 2PC step a transaction is in; doubles as the meaning of its
@@ -151,7 +143,7 @@ class TxnCoordinator : public Actor {
   bool fencing_ = false;
   uint64_t fence_record_ = 0;
 
-  Stats stats_;
+  TxnReport stats_;
 };
 
 }  // namespace optilog

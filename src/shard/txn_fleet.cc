@@ -56,7 +56,7 @@ void TxnClient::OnTimer(uint64_t tag, SimTime at) {
   }
   cur_->retry = kNoEvent;
   ++cur_->attempts;
-  ++fleet_->retried_;
+  ++fleet_->counts_.retried;
   if (!cur_->cross) {
     // The shard leader may have crashed; rotate to the next replica, which
     // forwards to whoever leads now.
@@ -124,7 +124,7 @@ void TxnClient::StartTxn(SimTime now) {
   p.target = p.cross ? fleet_->CoordinatorId(p.home) : fleet_->RouteShard(p.home);
 
   cur_ = std::move(p);
-  ++fleet_->submitted_;
+  ++fleet_->counts_.submitted;
   if (TraceRecorder* tr = fleet_->sim().trace()) {
     // Lifecycle root of this transaction's span tree; retries reuse it.
     tr->EmitHere(now, TraceKind::kClientSend, cur_->cross ? 1 : 0, id_,
@@ -200,7 +200,7 @@ void TxnClient::Complete(bool committed, const Bytes& results, SimTime at) {
   }
 
   if (!committed) {
-    ++fleet_->aborted_;
+    ++fleet_->counts_.aborted;
     fleet_->sim().ScheduleTimer(this, kTagNext, fleet_->opts_.abort_backoff);
     return;
   }
@@ -223,21 +223,15 @@ void TxnClient::Complete(bool committed, const Bytes& results, SimTime at) {
     }
   }
 
-  ++fleet_->committed_;
+  ++fleet_->counts_.committed;
   if (p.cross) {
-    ++fleet_->committed_cross_;
+    ++fleet_->counts_.committed_cross;
   } else {
-    ++fleet_->committed_single_;
+    ++fleet_->counts_.committed_single;
   }
   fleet_->committed_txns_.RecordCommit(at, 1);
   const SimTime delta = at > p.sent_at ? at - p.sent_at : 0;
-  if (p.cross) {
-    fleet_->cross_stat_.Add(ToMs(delta));
-    fleet_->cross_hist_.RecordUs(static_cast<uint64_t>(delta));
-  } else {
-    fleet_->single_stat_.Add(ToMs(delta));
-    fleet_->single_hist_.RecordUs(static_cast<uint64_t>(delta));
-  }
+  (p.cross ? fleet_->cross_latency_ : fleet_->single_latency_).Record(0, delta);
 
   if (fleet_->opts_.think_time > 0) {
     fleet_->sim().ScheduleTimer(this, kTagNext, fleet_->opts_.think_time);
@@ -250,7 +244,7 @@ void TxnClient::VerifyOp(const KvOp& op, const KvResult& res) {
   if ((op.key >> 63) != 0) {
     return;  // hot keys are multi-writer; the single-writer oracle is silent
   }
-  ++fleet_->kv_checks_;
+  ++fleet_->counts_.kv_checks;
   auto it = model_.find(op.key);
   const bool known = it != model_.end();
   bool ok = true;
@@ -270,7 +264,7 @@ void TxnClient::VerifyOp(const KvOp& op, const KvResult& res) {
     }
   }
   if (!ok) {
-    ++fleet_->kv_mismatches_;
+    ++fleet_->counts_.kv_mismatches;
   }
 }
 
@@ -354,25 +348,19 @@ void TxnFleet::Send(uint32_t shard, ReplicaId from, ReplicaId to,
   owner_->shard(shard).net().Send(from, to, std::move(msg));
 }
 
-void TxnFleet::FillReport(TxnReport& report) const {
+TxnReport TxnFleet::Report() const {
+  TxnReport report = counts_;
   report.enabled = true;
-  report.submitted = submitted_;
-  report.committed = committed_;
-  report.aborted = aborted_;
-  report.retried = retried_;
-  report.committed_single = committed_single_;
-  report.committed_cross = committed_cross_;
-  report.kv_checks = kv_checks_;
-  report.kv_mismatches = kv_mismatches_;
   report.committed_per_sec = committed_txns_.per_second();
-  report.single_mean_ms = single_stat_.mean();
-  report.single_p50_ms = single_hist_.PercentileMs(50.0);
-  report.single_p95_ms = single_hist_.PercentileMs(95.0);
-  report.single_p99_ms = single_hist_.PercentileMs(99.0);
-  report.cross_mean_ms = cross_stat_.mean();
-  report.cross_shard_p50_ms = cross_hist_.PercentileMs(50.0);
-  report.cross_shard_p95_ms = cross_hist_.PercentileMs(95.0);
-  report.cross_shard_p99_ms = cross_hist_.PercentileMs(99.0);
+  report.single_mean_ms = single_latency_.stat().mean();
+  report.single_p50_ms = single_latency_.Percentile(50.0);
+  report.single_p95_ms = single_latency_.Percentile(95.0);
+  report.single_p99_ms = single_latency_.Percentile(99.0);
+  report.cross_mean_ms = cross_latency_.stat().mean();
+  report.cross_shard_p50_ms = cross_latency_.Percentile(50.0);
+  report.cross_shard_p95_ms = cross_latency_.Percentile(95.0);
+  report.cross_shard_p99_ms = cross_latency_.Percentile(99.0);
+  return report;
 }
 
 }  // namespace optilog

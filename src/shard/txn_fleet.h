@@ -96,10 +96,7 @@ class TxnFleet {
 
   // Client-side half of the transaction report (the coordinators add the
   // 2PC half).
-  void FillReport(TxnReport& report) const;
-
-  uint64_t committed() const { return committed_; }
-  uint64_t mismatches() const { return kv_mismatches_; }
+  TxnReport Report() const;
 
  private:
   friend class TxnClient;
@@ -123,19 +120,10 @@ class TxnFleet {
   // colocated with their private keys, so a 0% cross point stays pure.
   std::vector<std::vector<uint64_t>> hot_by_shard_;
 
-  uint64_t submitted_ = 0;
-  uint64_t committed_ = 0;
-  uint64_t aborted_ = 0;
-  uint64_t retried_ = 0;
-  uint64_t committed_single_ = 0;
-  uint64_t committed_cross_ = 0;
-  uint64_t kv_checks_ = 0;
-  uint64_t kv_mismatches_ = 0;
+  TxnReport counts_;  // the client-side counters
   ThroughputRecorder committed_txns_;
-  RunningStat single_stat_;
-  RunningStat cross_stat_;
-  LatencyHistogram single_hist_;
-  LatencyHistogram cross_hist_;
+  LatencyRecorder single_latency_;
+  LatencyRecorder cross_latency_;
 };
 
 }  // namespace optilog

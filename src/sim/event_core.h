@@ -22,6 +22,7 @@
 #include "src/sim/ids.h"
 #include "src/sim/message.h"
 #include "src/sim/time.h"
+#include "src/util/metrics_schema.h"
 
 namespace optilog {
 
@@ -65,19 +66,14 @@ struct EventCoreStats {
   uint64_t wheel_overflow_events = 0;
   // Message pool: Make() calls served from a recycled block vs. fresh
   // operator new. Deterministic (allocation order is the event order), so
-  // compare_bench gates them exactly like the lane counters. NOT part of
-  // MetricsFingerprint: pre-wheel digests must stay byte-identical.
+  // compare_bench gates them exactly like the lane counters.
   uint64_t message_pool_hits = 0;
   uint64_t message_pool_misses = 0;
   // Wall-clock seconds spent inside RunUntil/RunAll, for events/sec.
   double wall_seconds = 0.0;
   // Partitioned execution (src/shard/parallel_exec.*): number of event-core
   // partitions the deployment ran on. 1 for every single-simulator run.
-  // Deterministic (a pure function of the deployment shape), so it joins
-  // the fingerprint whenever it exceeds 1.
   uint32_t partitions = 1;
-  // --- advisory parallel-execution fields: wall-clock- or driver-dependent,
-  // never fingerprinted and never in the deterministic JSON body. ----------
   // Static conservative lookahead L between partitions, microseconds
   // (0 = merged sequential driver forced; very large = no cross edges).
   uint64_t lookahead_us = 0;
@@ -87,6 +83,35 @@ struct EventCoreStats {
   // Per-partition events/sec over that partition's own run-loop wall time
   // (empty under the merged driver, which executes all partitions inline).
   std::vector<double> partition_ev_per_sec;
+
+  // The field table (src/util/metrics_schema.h). Agg is the partition sum
+  // of a partitioned run; the kNone rows come from the executor instead.
+  template <typename V>
+  static void Schema(V&& v) {
+    using S = EventCoreStats;
+    OL_METRIC(events_executed, kFingerprint, kSum);
+    OL_METRIC(typed_deliveries, kFingerprint, kSum);
+    OL_METRIC(typed_timers, kFingerprint, kSum);
+    OL_METRIC(closure_events, kFingerprint, kSum);
+    OL_METRIC(cancellations, kFingerprint, kSum);
+    // Partitioned runs: the slab/pending high-water marks depend on when
+    // cross-partition records reach destination queues (eagerly under the
+    // merged driver, at barriers under the windowed one), so the partition
+    // count, a pure function of the deployment shape, takes their place.
+    OL_METRIC(partitions, kMultiPartition, kNone);
+    OL_METRIC(peak_slab_slots, kSinglePartition, kSum);
+    OL_METRIC(peak_pending, kSinglePartition, kSum);
+    // Added after the fingerprint was pinned: JSON only, so older digests
+    // stay byte-identical.
+    OL_METRIC(wheel_overflow_events, kJsonOnly, kSum);
+    OL_METRIC(message_pool_hits, kJsonOnly, kSum);
+    OL_METRIC(message_pool_misses, kJsonOnly, kSum);
+    // No JSON key: the point's wall_ms already reports host time.
+    v(&S::wall_seconds, nullptr, Emit::kAdvisory, Agg::kNone);
+    OL_METRIC(lookahead_us, kAdvisory, kNone);
+    OL_METRIC(barrier_count, kAdvisory, kNone);
+    OL_METRIC(partition_ev_per_sec, kAdvisory, kNone);
+  }
 
   // Events that skipped the generic-closure lane — each would have paid a
   // type-erased std::function (with its possible heap allocation) plus a
@@ -100,11 +125,6 @@ struct EventCoreStats {
     return total > 0 ? static_cast<double>(message_pool_hits) /
                            static_cast<double>(total)
                      : 0.0;
-  }
-  double events_per_sec_wall() const {
-    return wall_seconds > 0.0
-               ? static_cast<double>(events_executed) / wall_seconds
-               : 0.0;
   }
 };
 

@@ -69,13 +69,13 @@ void RsmGroup::RequestCatchup(ReplicaId id, uint64_t decided_seq) {
     s.min_frontier = std::max(s.min_frontier, decided_seq + 1);
     return;
   }
-  ++catchups_started_;
+  ++counts_.catchups_started;
   BeginSession(id, sim_->now(), /*is_recovery=*/false);
   sessions_[id].min_frontier = decided_seq + 1;
 }
 
 void RsmGroup::BeginRecovery(ReplicaId id, SimTime now) {
-  ++recoveries_started_;
+  ++counts_.recoveries_started;
   rsms_[id]->Amnesia();
   BeginSession(id, now, /*is_recovery=*/true);
 }
@@ -163,7 +163,7 @@ void RsmGroup::OnTimer(uint64_t tag, SimTime at) {
   s.timeout = kNoEvent;
   const ReplicaId next = NextDonor(id, s.donor == kNoReplica ? id : s.donor, at);
   if (next != s.donor && next != kNoReplica) {
-    ++transfer_reroutes_;
+    ++counts_.transfer_reroutes;
   }
   s.donor = next;
   SendCurrentRequest(id);
@@ -263,8 +263,8 @@ void RsmGroup::OnStateChunk(ReplicaId id, const StateChunkMsg& msg,
   if (!s.active || s.phase != Phase::kSnapshot || msg.session != s.session) {
     return;  // stale reply from an abandoned donor/session
   }
-  ++transfer_chunks_;
-  transfer_bytes_ += msg.WireSize();
+  ++counts_.transfer_chunks;
+  counts_.transfer_bytes += msg.WireSize();
   if (TraceRecorder* tr = sim_->trace()) {
     tr->EmitHere(at, TraceKind::kRecoveryChunk, /*snapshot=*/1, id, msg.chunk,
                  msg.WireSize());
@@ -325,8 +325,8 @@ void RsmGroup::OnSuffixChunk(ReplicaId id, const LogSuffixChunkMsg& msg,
   if (!s.active || s.phase != Phase::kSuffix || msg.session != s.session) {
     return;
   }
-  ++transfer_chunks_;
-  transfer_bytes_ += msg.WireSize();
+  ++counts_.transfer_chunks;
+  counts_.transfer_bytes += msg.WireSize();
   if (TraceRecorder* tr = sim_->trace()) {
     tr->EmitHere(at, TraceKind::kRecoveryChunk, /*suffix=*/2, id,
                  msg.from_index, msg.WireSize());
@@ -386,10 +386,10 @@ void RsmGroup::CompleteSession(ReplicaId id, SimTime at) {
   const SimTime started = s.started_at;
   s = Session{};
   if (was_recovery) {
-    ++recoveries_completed_;
+    ++counts_.recoveries_completed;
     const double ms = ToMs(at - started);
-    catchup_ms_total_ += ms;
-    catchup_ms_max_ = std::max(catchup_ms_max_, ms);
+    counts_.catchup_ms_total += ms;
+    counts_.catchup_ms_max = std::max(counts_.catchup_ms_max, ms);
     if (on_recovered_) {
       on_recovered_(id, at);
     }
@@ -418,7 +418,7 @@ void RsmGroup::RestartSession(ReplicaId id, SimTime at) {
   s.started_at = started;
   s.donor = NextDonor(id, failed_donor == kNoReplica ? id : failed_donor, at);
   if (s.donor != kNoReplica && s.donor != failed_donor) {
-    ++transfer_reroutes_;
+    ++counts_.transfer_reroutes;
   }
   SendCurrentRequest(id);
 }
@@ -426,15 +426,8 @@ void RsmGroup::RestartSession(ReplicaId id, SimTime at) {
 // --- reporting ---------------------------------------------------------------
 
 void RsmGroup::FillReport(StateMachineReport& out, SimTime now) const {
+  out = counts_;
   out.enabled = true;
-  out.recoveries_started = recoveries_started_;
-  out.recoveries_completed = recoveries_completed_;
-  out.catchups_started = catchups_started_;
-  out.transfer_bytes = transfer_bytes_;
-  out.transfer_chunks = transfer_chunks_;
-  out.transfer_reroutes = transfer_reroutes_;
-  out.catchup_ms_total = catchup_ms_total_;
-  out.catchup_ms_max = catchup_ms_max_;
 
   // Live replicas only: a crashed or mid-recovery replica is expected to be
   // behind. The reference replica is the first at the max frontier.

@@ -159,14 +159,7 @@ class RsmGroup : public TimerTarget {
 
   std::function<void(ReplicaId, SimTime)> on_recovered_;
 
-  uint64_t recoveries_started_ = 0;
-  uint64_t recoveries_completed_ = 0;
-  uint64_t catchups_started_ = 0;
-  uint64_t transfer_bytes_ = 0;
-  uint64_t transfer_chunks_ = 0;
-  uint64_t transfer_reroutes_ = 0;
-  double catchup_ms_total_ = 0.0;
-  double catchup_ms_max_ = 0.0;
+  StateMachineReport counts_;  // the recovery and transfer accounting
 };
 
 }  // namespace optilog

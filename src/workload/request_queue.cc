@@ -7,11 +7,11 @@ namespace optilog {
 RequestQueue::Admit RequestQueue::Push(const RequestRef& req, SimTime now) {
   ClientWindow& w = windows_[{req.client, req.shard}];
   if (req.request_id < w.floor || w.seen.count(req.request_id) > 0) {
-    ++duplicates_;
+    ++counts_.requests_deduped;
     return Admit::kDuplicate;
   }
   if (queue_.size() >= policy_.max_queue) {
-    ++dropped_;
+    ++counts_.requests_dropped;
     return Admit::kDropped;
   }
   w.seen.insert(req.request_id);
@@ -22,8 +22,9 @@ RequestQueue::Admit RequestQueue::Push(const RequestRef& req, SimTime now) {
     w.seen.erase(w.seen.begin());
   }
   queue_.push_back(Entry{req, now});
-  ++accepted_;
-  peak_depth_ = std::max(peak_depth_, queue_.size());
+  ++counts_.requests_accepted;
+  counts_.peak_queue_depth =
+      std::max(counts_.peak_queue_depth, queue_.size());
   return Admit::kAccepted;
 }
 
@@ -31,7 +32,8 @@ void RequestQueue::Requeue(std::vector<RequestRef> batch, SimTime now) {
   for (size_t i = batch.size(); i > 0; --i) {
     queue_.push_front(Entry{batch[i - 1], now});
   }
-  peak_depth_ = std::max(peak_depth_, queue_.size());
+  counts_.peak_queue_depth =
+      std::max(counts_.peak_queue_depth, queue_.size());
 }
 
 std::vector<RequestRef> RequestQueue::PopBatch(SimTime now,
@@ -47,13 +49,13 @@ std::vector<RequestRef> RequestQueue::PopBatch(SimTime now,
   if (take > 0) {
     switch (trigger) {
       case BatchTrigger::kSize:
-        ++batches_size_triggered_;
+        ++counts_.batches_size_triggered;
         break;
       case BatchTrigger::kDeadline:
-        ++batches_deadline_triggered_;
+        ++counts_.batches_deadline_triggered;
         break;
       case BatchTrigger::kIdle:
-        ++batches_idle_triggered_;
+        ++counts_.batches_idle_triggered;
         break;
     }
   }

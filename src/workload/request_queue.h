@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/rsm/metrics.h"
 #include "src/sim/time.h"
 #include "src/workload/messages.h"
 
@@ -63,16 +64,9 @@ class RequestQueue {
   SimTime front_enqueued_at() const { return queue_.front().enqueued_at; }
   const BatchPolicy& policy() const { return policy_; }
 
-  // --- accounting ------------------------------------------------------------
-  uint64_t accepted() const { return accepted_; }
-  uint64_t dropped() const { return dropped_; }
-  uint64_t duplicates() const { return duplicates_; }
-  size_t peak_depth() const { return peak_depth_; }
-  uint64_t batches_size_triggered() const { return batches_size_triggered_; }
-  uint64_t batches_deadline_triggered() const {
-    return batches_deadline_triggered_;
-  }
-  uint64_t batches_idle_triggered() const { return batches_idle_triggered_; }
+  // The leader queue's half of the workload report (admission, dedup,
+  // depth and batch-trigger accounting).
+  const WorkloadReport& counts() const { return counts_; }
 
  private:
   struct Entry {
@@ -99,13 +93,7 @@ class RequestQueue {
   BatchPolicy policy_;
   std::deque<Entry> queue_;
   std::map<std::pair<ReplicaId, uint32_t>, ClientWindow> windows_;
-  uint64_t accepted_ = 0;
-  uint64_t dropped_ = 0;
-  uint64_t duplicates_ = 0;
-  size_t peak_depth_ = 0;
-  uint64_t batches_size_triggered_ = 0;
-  uint64_t batches_deadline_triggered_ = 0;
-  uint64_t batches_idle_triggered_ = 0;
+  WorkloadReport counts_{.enabled = true};
 };
 
 }  // namespace optilog

@@ -101,7 +101,7 @@ void WorkloadClient::VerifyResult(const KvOp& op, const Bytes& result) {
   if (result.empty() || !KvResult::Decode(result, &res)) {
     return;  // a reply without a value (engine without a state machine)
   }
-  ++fleet_->kv_checks_;
+  ++fleet_->counts_.kv_checks;
   bool ok = true;
   switch (op.kind) {
     case KvOpKind::kGet: {
@@ -122,7 +122,7 @@ void WorkloadClient::VerifyResult(const KvOp& op, const Bytes& result) {
       break;
   }
   if (!ok) {
-    ++fleet_->kv_mismatches_;
+    ++fleet_->counts_.kv_mismatches;
   }
 }
 
@@ -140,9 +140,9 @@ void WorkloadClient::StartNewRequest(SimTime now) {
     auto oldest = outstanding_.begin();
     fleet_->sim_->Cancel(oldest->second.retry);
     outstanding_.erase(oldest);
-    ++fleet_->abandoned_;
+    ++fleet_->counts_.requests_abandoned;
   }
-  ++fleet_->sent_;
+  ++fleet_->counts_.requests_sent;
   if (TraceRecorder* tr = fleet_->sim_->trace()) {
     // The lifecycle root for this request's span tree (retries reuse it —
     // stage breakdowns measure from the original send, like sent_at does).
@@ -189,7 +189,7 @@ void WorkloadClient::OnTimer(uint64_t tag, SimTime at) {
     // dedup window, where a late retry reads as a duplicate). Account for
     // it and, in a closed loop, free the slot for the next request.
     outstanding_.erase(it);
-    ++fleet_->abandoned_;
+    ++fleet_->counts_.requests_abandoned;
     if (fleet_->opts_.arrival == ArrivalProcess::kClosedLoop) {
       fleet_->sim_->ScheduleTimer(this, kTagArrival, fleet_->opts_.think_time);
     }
@@ -197,7 +197,7 @@ void WorkloadClient::OnTimer(uint64_t tag, SimTime at) {
   }
   ++it->second.attempts;
   it->second.target = (it->second.target + 1) % fleet_->n_;
-  ++fleet_->retried_;
+  ++fleet_->counts_.requests_retried;
   SendAttempt(request_id, at);
 }
 
@@ -281,23 +281,17 @@ double ClientFleet::RateScaleAt(SimTime t) const {
 }
 
 void ClientFleet::RecordCompletion(SimTime delta) {
-  ++completed_;
-  latency_stat_.Add(ToMs(delta));
-  latency_hist_.RecordUs(delta > 0 ? static_cast<uint64_t>(delta) : 0);
+  ++counts_.requests_completed;
+  latency_.Record(0, delta);
 }
 
-void ClientFleet::FillReport(WorkloadReport& report) const {
-  report.enabled = true;
-  report.requests_sent = sent_;
-  report.requests_completed = completed_;
-  report.requests_retried = retried_;
-  report.requests_abandoned = abandoned_;
-  report.kv_checks = kv_checks_;
-  report.kv_mismatches = kv_mismatches_;
-  report.latency_mean_ms = latency_stat_.mean();
-  report.latency_p50_ms = latency_hist_.PercentileMs(50.0);
-  report.latency_p95_ms = latency_hist_.PercentileMs(95.0);
-  report.latency_p99_ms = latency_hist_.PercentileMs(99.0);
+WorkloadReport ClientFleet::Report() const {
+  WorkloadReport report = counts_;
+  report.latency_mean_ms = latency_.stat().mean();
+  report.latency_p50_ms = latency_.Percentile(50.0);
+  report.latency_p95_ms = latency_.Percentile(95.0);
+  report.latency_p99_ms = latency_.Percentile(99.0);
+  return report;
 }
 
 }  // namespace optilog

@@ -168,12 +168,12 @@ class ClientFleet {
   const WorkloadClient& client(uint32_t i) const { return *clients_.at(i); }
   const WorkloadOptions& options() const { return opts_; }
 
-  // Client-side half of the report (sent/completed/retried/abandoned plus
-  // the latency percentiles); the harness adds its RequestQueue's half.
-  void FillReport(WorkloadReport& report) const;
+  // Client-side half of the report (sent/completed/retried/abandoned, the
+  // KV checks and the latency percentiles); RequestQueue::counts() is the
+  // leader queue's half.
+  WorkloadReport Report() const;
 
-  uint64_t completed() const { return completed_; }
-  const LatencyHistogram& latency_histogram() const { return latency_hist_; }
+  double latency_mean_ms() const { return latency_.stat().mean(); }
 
  private:
   friend class WorkloadClient;
@@ -189,26 +189,8 @@ class ClientFleet {
   std::vector<std::unique_ptr<WorkloadClient>> clients_;
   std::vector<std::pair<SimTime, double>> phase_ends_;  // (end, scale)
 
-  uint64_t sent_ = 0;
-  uint64_t completed_ = 0;
-  uint64_t retried_ = 0;
-  uint64_t abandoned_ = 0;
-  uint64_t kv_checks_ = 0;
-  uint64_t kv_mismatches_ = 0;
-  LatencyHistogram latency_hist_;
-  RunningStat latency_stat_;
+  WorkloadReport counts_{.enabled = true};  // the client-side counters
+  LatencyRecorder latency_;  // original send -> reply quorum
 };
-
-// Folds a leader-side queue's accounting into the report next to the
-// fleet's client-side half.
-inline void FillQueueReport(const RequestQueue& queue, WorkloadReport& report) {
-  report.requests_accepted = queue.accepted();
-  report.requests_dropped = queue.dropped();
-  report.requests_deduped = queue.duplicates();
-  report.peak_queue_depth = queue.peak_depth();
-  report.batches_size_triggered = queue.batches_size_triggered();
-  report.batches_deadline_triggered = queue.batches_deadline_triggered();
-  report.batches_idle_triggered = queue.batches_idle_triggered();
-}
 
 }  // namespace optilog

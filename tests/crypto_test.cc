@@ -246,7 +246,8 @@ TEST(Signature, ShortPathMatchesLongMessagePath) {
   // streaming path; both must agree with a from-scratch computation of
   // HMAC(m) || HMAC(m || 0x01).
   KeyStore keys(2, 9);
-  for (size_t len : {size_t{32}, size_t{54}, size_t{55}, size_t{100}}) {
+  for (size_t len : {size_t{0}, size_t{32}, size_t{54}, size_t{55},
+                     size_t{100}}) {
     Bytes msg(len, 0x5a);
     const Signature sig = keys.Sign(1, msg);
     EXPECT_TRUE(keys.Verify(sig, msg));

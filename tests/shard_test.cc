@@ -190,7 +190,7 @@ TEST(RequestQueueShard, SameIdOnDifferentShardsIsNotADuplicate) {
   req.shard = 1;
   EXPECT_EQ(q.Push(req, 2), RequestQueue::Admit::kAccepted);
   EXPECT_EQ(q.depth(), 2u);
-  EXPECT_EQ(q.duplicates(), 1u);
+  EXPECT_EQ(q.counts().requests_deduped, 1u);
 }
 
 // --- Sharded deployments -----------------------------------------------------

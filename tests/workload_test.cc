@@ -24,10 +24,10 @@ TEST(RequestQueueTest, AdmissionDedupAndOverflow) {
   EXPECT_EQ(q.Push({7, 1, 0, {}}, 12), RequestQueue::Admit::kAccepted);
   EXPECT_EQ(q.Push({8, 0, 0, {}}, 13), RequestQueue::Admit::kAccepted);
   EXPECT_EQ(q.Push({8, 1, 0, {}}, 14), RequestQueue::Admit::kDropped);  // full
-  EXPECT_EQ(q.accepted(), 3u);
-  EXPECT_EQ(q.duplicates(), 1u);
-  EXPECT_EQ(q.dropped(), 1u);
-  EXPECT_EQ(q.peak_depth(), 3u);
+  EXPECT_EQ(q.counts().requests_accepted, 3u);
+  EXPECT_EQ(q.counts().requests_deduped, 1u);
+  EXPECT_EQ(q.counts().requests_dropped, 1u);
+  EXPECT_EQ(q.counts().peak_queue_depth, 3u);
   EXPECT_EQ(q.front_enqueued_at(), 10);
 
   // FIFO pop, capped at max_batch; the caller names the trigger.
@@ -36,11 +36,11 @@ TEST(RequestQueueTest, AdmissionDedupAndOverflow) {
   EXPECT_EQ(first[0].client, 7u);
   EXPECT_EQ(first[0].request_id, 0u);
   EXPECT_EQ(first[1].request_id, 1u);
-  EXPECT_EQ(q.batches_size_triggered(), 1u);
+  EXPECT_EQ(q.counts().batches_size_triggered, 1u);
   const auto second = q.PopBatch(21, BatchTrigger::kDeadline);
   ASSERT_EQ(second.size(), 1u);
-  EXPECT_EQ(q.batches_deadline_triggered(), 1u);
-  EXPECT_EQ(q.batches_idle_triggered(), 0u);
+  EXPECT_EQ(q.counts().batches_deadline_triggered, 1u);
+  EXPECT_EQ(q.counts().batches_idle_triggered, 0u);
   EXPECT_TRUE(q.empty());
 
   // A duplicate of a popped (still-windowed) request stays rejected.
@@ -58,7 +58,7 @@ TEST(RequestQueueTest, RequeuePreservesOrderWithoutRecounting) {
   // `accepted` does not move (committed at most once per admission).
   q.Push({1, 3, 0, {}}, 6);
   q.Requeue(std::move(batch), 7);
-  EXPECT_EQ(q.accepted(), 4u);
+  EXPECT_EQ(q.counts().requests_accepted, 4u);
   const auto again = q.PopBatch(8, BatchTrigger::kDeadline);
   ASSERT_EQ(again.size(), 4u);
   EXPECT_EQ(again[0].request_id, 0u);
@@ -188,7 +188,7 @@ TEST(WorkloadTree, CrashedTargetReplicaReroutesWithoutDoubleCounting) {
   // Service resumed on the new root: completions recorded after recovery.
   uint64_t completed_after_crash = 0;
   for (uint32_t c = 0; c < w.clients; ++c) {
-    for (const ClientSample& s : d->tree().fleet()->client(c).samples()) {
+    for (const ClientSample& s : d->tree().client_fleet()->client(c).samples()) {
       if (s.at > 15 * kSec) {
         ++completed_after_crash;
       }
@@ -221,7 +221,7 @@ TEST(WorkloadPbft, CustomFleetOverridesLegacyClosedLoop) {
   d->Start();
   d->RunUntil(10 * kSec);
   const MetricsReport m = d->Metrics();
-  EXPECT_EQ(d->pbft().fleet().size(), 6u);
+  EXPECT_EQ(d->pbft().client_fleet()->size(), 6u);
   // ~6 clients x 10 req/s x 10 s, minus the tail in flight.
   EXPECT_GT(m.workload.requests_sent, 500u);
   EXPECT_GT(m.workload.requests_completed, 450u);

@@ -24,9 +24,10 @@ The gate, per the determinism contract (DESIGN.md, "Scenario runner"):
     unless NAME has an explicit --tol;
   * float-valued cells and metrics compare within the tolerance for their
     column/metric name (or --default-float-tol);
-  * wall_ms and the scenario digest are advisory: reported, never fatal
-    (the digest hashes the formatted rows, so it only drifts when some
-    tolerated float did).
+  * wall_ms, the scenario digest and each point's digest (its
+    MetricsFingerprint) are advisory: reported, never fatal (the scenario
+    digest hashes the formatted rows, so it only drifts when some tolerated
+    float did; a point digest drifts when any fingerprinted metric moved).
 
 Exit status: 0 clean, 1 on any gated difference, 2 on usage errors.
 """
@@ -105,6 +106,10 @@ def as_number(cell):
         return float(cell)
     except (TypeError, ValueError):
         return None
+
+
+def params_label(point):
+    return " ".join(f"{k}={v}" for k, v in sorted(point.get("params", {}).items()))
 
 
 def is_integral(value):
@@ -189,6 +194,9 @@ class Comparator:
                 continue
             self.check_table(f"{where}.rows", columns, bp.get("rows", []),
                              cp.get("rows", []))
+            if bp.get("digest") != cp.get("digest"):
+                self.note(f"{name}[{params_label(bp)}]: point digest differs "
+                          f"(advisory; a fingerprinted metric moved)")
             bm, cm = bp.get("metrics", {}), cp.get("metrics", {})
             if bm.keys() != cm.keys():
                 self.fail(where, f"metric keys {sorted(bm)} != {sorted(cm)}")
@@ -250,9 +258,7 @@ class Comparator:
         bev, cev = bec.get("events_executed", 0), cec.get("events_executed", 0)
         if not (bw and cw and bev and cev):
             return
-        params = " ".join(
-            f"{k}={v}" for k, v in sorted(bp.get("params", {}).items())
-        )
+        params = params_label(bp)
         self.throughput.append(
             (name, params, bev / bw * 1000.0, cev / cw * 1000.0)
         )
