@@ -8,7 +8,26 @@
 namespace optilog {
 
 namespace {
+
 unsigned g_sim_threads = 0;
+
+// The PBFT family's fleet when no WithWorkload is given: BFT-SMaRt's closed
+// loop — one outstanding 64 B request per client, 50 ms think time, and a
+// leader that drains its whole queue into each batch. Client count and
+// replies are left to the builder's protocol defaults.
+WorkloadOptions BftSmartClosedLoop(uint64_t seed) {
+  WorkloadOptions w;
+  w.arrival = ArrivalProcess::kClosedLoop;
+  w.outstanding = 1;
+  w.think_time = 50 * kMsec;
+  w.request_bytes = 64;
+  w.seed = seed;
+  w.batch.max_batch = ~0u;
+  w.batch.max_delay = 0;
+  w.batch.max_queue = ~size_t{0};
+  return w;
+}
+
 }  // namespace
 
 void SetGlobalSimThreads(unsigned threads) { g_sim_threads = threads; }
@@ -152,11 +171,6 @@ Deployment::Builder& Deployment::Builder::WithFaults(
   return *this;
 }
 
-Deployment::Builder& Deployment::Builder::WithPipeline(Pipeline::Options opts) {
-  pipeline_opts_ = std::move(opts);
-  return *this;
-}
-
 Deployment::Builder& Deployment::Builder::WithBandwidth(double bps) {
   bandwidth_bps_ = bps;
   return *this;
@@ -264,18 +278,44 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
   d->f_ = f_.value_or((d->n_ - 1) / 3);
   d->cities_.assign(cities_.begin(), cities_.begin() + d->n_);
 
-  // Latency model. Deployments that serve clients (any WithWorkload, and
-  // the PBFT family's default one-client-per-replica fleet) extend it with
-  // the client locations — colocated with replica cities round-robin — so
-  // client <-> replica deliveries resolve for ids n .. n + clients - 1.
-  size_t client_count = 0;
-  if (workload_.has_value()) {
-    if (workload_->spawn_fleet) {
-      client_count = workload_->clients != 0 ? workload_->clients : d->n_;
-    }
-    client_count += workload_->extra_client_slots;
+  // Client traffic, resolved once for both engine families: WithWorkload
+  // (its seed folded with the deployment seed, so sweeps that only vary
+  // WithSeed draw independent arrival processes per point), else for the
+  // PBFT family BFT-SMaRt's closed loop on the harness seed; tree engines
+  // without a workload self-drive. Zeros take the protocol defaults: one
+  // client per replica, and the root's single reply (tree) or f + 1
+  // matching replies (PBFT).
+  const uint64_t pbft_seed = seed_.value_or(pbft_opts_.seed);
+  std::optional<WorkloadOptions>& workload = d->workload_;
+  workload = workload_;
+  if (workload.has_value()) {
+    workload->seed = workload->seed * 0x9e3779b97f4a7c15ULL ^ seed;
   } else if (!IsTreeProtocol(protocol_)) {
-    client_count = d->n_;
+    workload = BftSmartClosedLoop(pbft_seed);
+  }
+  if (workload.has_value()) {
+    if (workload->clients == 0) {
+      workload->clients = d->n_;
+    }
+    if (workload->replies_needed == 0) {
+      workload->replies_needed = IsTreeProtocol(protocol_) ? 1 : d->f_ + 1;
+    }
+  }
+  if (statemachine_.has_value()) {
+    // Execution needs operations to execute: the client fleet generates the
+    // KV mix and cross-checks committed results against its model oracle.
+    OL_CHECK_MSG(workload_.has_value(),
+                 "WithStateMachine requires WithWorkload");
+    workload->kv.enabled = true;
+  }
+
+  // Latency model. Deployments that serve clients extend it with the client
+  // locations — colocated with replica cities round-robin — so client <->
+  // replica deliveries resolve for ids n .. n + clients - 1.
+  size_t client_count = 0;
+  if (workload.has_value()) {
+    client_count = (workload->spawn_fleet ? workload->clients : 0) +
+                   workload->extra_client_slots;
   }
   std::vector<City> model_cities =
       client_count > 0 ? WithColocatedClients(d->cities_, client_count)
@@ -329,18 +369,7 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
                                      std::move(flat), u);
   }
 
-  // The deployment seed folds into the fleet seed so sweeps that only vary
-  // WithSeed draw independent arrival processes per point.
-  std::optional<WorkloadOptions> workload = workload_;
-  if (workload.has_value()) {
-    workload->seed = workload->seed * 0x9e3779b97f4a7c15ULL ^ seed;
-  }
   if (statemachine_.has_value()) {
-    // Execution needs operations to execute: the client fleet generates the
-    // KV mix and cross-checks committed results against its model oracle.
-    OL_CHECK_MSG(workload.has_value(),
-                 "WithStateMachine requires WithWorkload");
-    workload->kv.enabled = true;
     d->rsm_group_ = std::make_unique<RsmGroup>(d->simp_, d->net_.get(),
                                                &d->faults_, d->n_,
                                                *statemachine_);
@@ -381,15 +410,11 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
     if (optilog_reconfig_) {
       d->tree_space_ =
           std::make_unique<TreeConfigSpace>(d->n_, 2 * d->f_ + 1);
+      // The E_d/T policy with enough candidates for the internal positions
+      // (§6.4).
       Pipeline::Options popts;
-      if (pipeline_opts_.has_value()) {
-        popts = *pipeline_opts_;
-      } else {
-        // Tree defaults: the E_d/T policy with enough candidates for the
-        // internal positions (§6.4).
-        popts.suspicion.policy = CandidatePolicy::kTreeDisjointEdges;
-        popts.suspicion.min_candidates = BranchFactorFor(d->n_) + 1;
-      }
+      popts.suspicion.policy = CandidatePolicy::kTreeDisjointEdges;
+      popts.suspicion.min_candidates = BranchFactorFor(d->n_) + 1;
       popts.rng_seed = seed;
       // The deployment answers for no replica; reciprocation is protocol
       // business (crashed replicas must stay silent).
@@ -413,15 +438,8 @@ std::unique_ptr<Deployment> Deployment::Builder::BuildInternal(
     popts.mode = protocol_ == Protocol::kPbft    ? PbftMode::kPbft
                  : protocol_ == Protocol::kAware ? PbftMode::kAware
                                                  : PbftMode::kOptiAware;
-    if (pipeline_opts_.has_value()) {
-      popts.pipeline = *pipeline_opts_;
-    }
-    if (seed_.has_value()) {
-      popts.seed = *seed_;  // unset: PbftOptions keeps its own default
-    }
-    if (workload.has_value()) {
-      popts.workload = workload;
-    }
+    popts.seed = pbft_seed;
+    popts.workload = *workload;
     d->pbft_ = std::make_unique<PbftHarness>(d->simp_, d->net_.get(),
                                              d->keys_.get(), popts);
   }

@@ -93,6 +93,11 @@ class Deployment {
   // The replicated-state-machine layer (WithStateMachine); nullptr when the
   // deployment only counts messages.
   const RsmGroup* state_machines() const { return rsm_group_.get(); }
+  // The client traffic as Build resolved it (see Builder::WithWorkload);
+  // nullptr for a self-driven tree engine.
+  const WorkloadOptions* workload() const {
+    return workload_.has_value() ? &*workload_ : nullptr;
+  }
 
   // Runs after a crashed replica recovers to the live frontier, in addition
   // to the engine's own rebinding. The shard layer hooks its transaction
@@ -135,6 +140,7 @@ class Deployment {
   uint32_t n_ = 0;
   uint32_t f_ = 0;
   std::vector<City> cities_;
+  std::optional<WorkloadOptions> workload_;
 
   // Substrate. Declaration order doubles as construction order: engines
   // reference everything above them. `simp_` is the simulator everything
@@ -193,11 +199,6 @@ class Deployment::Builder {
   // topology exist — so the callback can target e.g. tree intermediates.
   Builder& WithFaults(std::function<void(Deployment&)> configure);
 
-  // Monitor-side pipeline knobs (candidate policy, config hysteresis, ...).
-  // Tree protocols default to the E_d/T policy with b + 1 internal slots;
-  // the PBFT family defaults to the MIS policy (§4.2.3).
-  Builder& WithPipeline(Pipeline::Options opts);
-
   // Per-replica uplink bandwidth in bits/s (0 = unlimited).
   Builder& WithBandwidth(double bps);
 
@@ -232,15 +233,18 @@ class Deployment::Builder {
   // topology searches, the pipeline RNG, and the PBFT harness seed.
   Builder& WithSeed(uint64_t seed);
 
-  // Protocol-family knobs. n, f and the PBFT mode are filled in by Build.
+  // Protocol-family knobs. n, f, the PBFT mode and the engines' client
+  // workload are filled in by Build.
   Builder& WithTreeOptions(TreeRsmOptions opts);
   Builder& WithPbftOptions(PbftOptions opts);
 
   // Client traffic (src/workload/): a ClientFleet drives the engine instead
-  // of self-driven proposals (tree family) or the legacy per-replica closed
-  // loop (PBFT family). Clients are colocated with replica cities
-  // round-robin and the latency model is extended to cover them; zeros in
-  // `clients` / `replies_needed` resolve to protocol defaults at Build.
+  // of self-driven proposals (tree family) or BFT-SMaRt's closed loop (the
+  // PBFT family's default: one client per replica, one outstanding request,
+  // 50 ms think time, unbounded batches). Clients are colocated with
+  // replica cities round-robin and the latency model is extended to cover
+  // them. Build resolves the options once, before either engine sees them:
+  // `clients` 0 -> n, `replies_needed` 0 -> 1 (tree) or f + 1 (PBFT).
   // Like every builder knob this is a value — Clone() copies it, so sweeps
   // can stamp out per-point workloads from one base recipe.
   Builder& WithWorkload(WorkloadOptions opts);
@@ -333,7 +337,6 @@ class Deployment::Builder {
   std::vector<City> cities_;
   Protocol protocol_ = Protocol::kOptiTree;
   std::function<void(Deployment&)> faults_;
-  std::optional<Pipeline::Options> pipeline_opts_;
   double bandwidth_bps_ = 0.0;
   std::optional<CryptoCostModel> crypto_model_;
   std::optional<uint64_t> seed_;  // unset: each component keeps its default

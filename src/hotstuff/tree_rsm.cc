@@ -7,6 +7,14 @@
 namespace optilog {
 namespace {
 
+// Extra slack on the root's round-failure timer, beyond delta * d_rnd.
+constexpr SimTime kRoundTimeoutSlack = 200 * kMsec;
+// Extra slack on intermediates' aggregation timers beyond delta * Lagg. The
+// latency matrix records pure propagation, but real rounds also pay
+// serialization; without slack the slowest child's vote always misses the
+// aggregate by a hair.
+constexpr SimTime kAggregationSlack = 50 * kMsec;
+
 Digest BlockDigest(uint64_t view) {
   Bytes seed;
   ByteWriter w(&seed);
@@ -99,7 +107,7 @@ void TreeReplica::HandlePropose(ReplicaId from, const ProposeMsg& msg, SimTime a
   const SimTime deadline =
       static_cast<SimTime>(harness_->opts_.delta *
                            static_cast<double>(FromMs(lagg_ms))) +
-      harness_->opts_.aggregation_slack;
+      kAggregationSlack;
   agg.timer = harness_->sim_->ScheduleTimer(this, msg.view, deadline);
 }
 
@@ -217,17 +225,10 @@ TreeRsm::TreeRsm(Simulator* sim, Network* net, const KeyStore* keys,
     net_->Register(id, replicas_.back().get());
   }
   if (opts_.workload.has_value()) {
-    WorkloadOptions w = *opts_.workload;
-    if (w.clients == 0) {
-      w.clients = opts_.n;
-    }
-    if (w.replies_needed == 0) {
-      w.replies_needed = 1;  // the root's commit-stamped reply
-    }
-    queue_ = std::make_unique<RequestQueue>(w.batch);
-    if (w.spawn_fleet) {
-      fleet_ = std::make_unique<ClientFleet>(
-          sim_, net_, opts_.n, std::move(w), [this] { return tree_.root(); });
+    queue_ = std::make_unique<RequestQueue>(opts_.workload->batch);
+    if (opts_.workload->spawn_fleet) {
+      fleet_ = std::make_unique<ClientFleet>(sim_, net_, opts_.n, *opts_.workload,
+                                             [this] { return tree_.root(); });
     }
   }
 }
@@ -247,10 +248,10 @@ SimTime TreeRsm::RoundTimeout() const {
   const double d_rnd_ms =
       TreeScore(tree_, *latency_, CommitThreshold());
   if (!std::isfinite(d_rnd_ms)) {
-    return 2 * kSec + opts_.timeout_slack;
+    return 2 * kSec + kRoundTimeoutSlack;
   }
   return static_cast<SimTime>(opts_.delta * static_cast<double>(FromMs(d_rnd_ms))) +
-         opts_.timeout_slack;
+         kRoundTimeoutSlack;
 }
 
 void TreeRsm::SetTopologyOrConfig(const RoleConfig& config) {
@@ -298,21 +299,7 @@ void TreeRsm::OnClientRequest(ReplicaId receiver, const MessagePtr& msg) {
   if (queue_ == nullptr) {
     return;  // self-driven run: no client path
   }
-  const auto& req = static_cast<const ClientRequestMsg&>(*msg);
-  if (receiver != tree_.root()) {
-    // Not the proposer: forward the same immutable message to the root
-    // (stale client knowledge after a reconfiguration, or a retry probing
-    // another replica).
-    net_->Send(receiver, tree_.root(), msg);
-    return;
-  }
-  if (queue_->Push(RequestRef{req.client, req.request_id, req.sent_at, req.op,
-                              req.shard},
-                   sim_->now()) == RequestQueue::Admit::kAccepted) {
-    if (TraceRecorder* tr = sim_->trace()) {
-      tr->EmitHere(sim_->now(), TraceKind::kQueueAdmit, 0, receiver,
-                   req.request_id, req.client);
-    }
+  if (AdmitOrForward(net_, queue_.get(), receiver, tree_.root(), msg)) {
     PumpWorkload(false);
   }
 }
@@ -437,29 +424,9 @@ void TreeRsm::CommitRound(uint64_t view) {
     }
     throughput_.RecordCommit(sim_->now(),
                              static_cast<uint32_t>(round.batch.size()));
-    TraceRecorder* const tr = sim_->trace();
     for (size_t i = 0; i < round.batch.size(); ++i) {
-      const RequestRef& req = round.batch[i];
-      if (tr != nullptr) {
-        tr->EmitHere(sim_->now(), TraceKind::kCommit, 0, round.proposer,
-                     req.request_id, req.client);
-      }
-      auto reply = sim_->pool().Make<ClientReplyMsg>();
-      reply->request_id = req.request_id;
-      reply->seq = view;
-      if (i < results.size()) {
-        reply->result = std::move(results[i]);
-      }
-      if (CpuMeter* cpu = net_->cpu()) {
-        // Replies are MAC-authenticated per client (hash-cost, not a full
-        // signature) — the BFT-SMaRt reply model.
-        cpu->ChargeHash(round.proposer, sim_->now(), reply->WireSize());
-      }
-      if (tr != nullptr) {
-        tr->EmitHere(sim_->now(), TraceKind::kReplySent, 0, round.proposer,
-                     req.request_id, req.client);
-      }
-      net_->Send(round.proposer, req.client, std::move(reply));
+      SendClientReply(net_, round.proposer, round.batch[i], view,
+                      i < results.size() ? std::move(results[i]) : Bytes{});
     }
   } else {
     throughput_.RecordCommit(sim_->now(), opts_.batch_size);
@@ -511,15 +478,20 @@ void TreeRsm::OnRoundTimeout(uint64_t view) {
   }
 
   if (reconfig_) {
-    std::optional<TreeTopology> next = reconfig_(*this);
-    if (next.has_value()) {
-      ++reconfigurations_;
-      reconfig_times_.push_back(sim_->now());
-      SetTopology(*next);
-      AbandonInFlightRounds();
-    }
+    ReconfigureFromPolicy();
   }
   RefillPipeline();
+}
+
+void TreeRsm::ReconfigureFromPolicy() {
+  std::optional<TreeTopology> next = reconfig_(*this);
+  if (!next.has_value()) {
+    return;
+  }
+  ++reconfigurations_;
+  reconfig_times_.push_back(sim_->now());
+  SetTopology(*next);
+  AbandonInFlightRounds();
 }
 
 // Fails rounds still waiting on a replaced tree's parents (not counted as
@@ -620,13 +592,7 @@ void TreeRsm::OnReplicaRecovered(ReplicaId id) {
   }
   // The replica fell out of the active tree while it was down; ask the
   // reconfiguration policy for a tree over the (now larger) live set.
-  std::optional<TreeTopology> next = reconfig_(*this);
-  if (next.has_value()) {
-    ++reconfigurations_;
-    reconfig_times_.push_back(sim_->now());
-    SetTopology(*next);
-    AbandonInFlightRounds();
-  }
+  ReconfigureFromPolicy();
   RefillPipeline();
 }
 

@@ -59,23 +59,17 @@ struct TreeRsmOptions {
   double delta = 1.0;          // timing slack multiplier
   // Votes required to commit: 0 -> q = n - f. OptiTree adds u dynamically.
   uint32_t votes_required = 0;
-  // Extra slack on the root's round-failure timer, beyond delta * d_rnd.
-  SimTime timeout_slack = 200 * kMsec;
-  // Extra slack on intermediates' aggregation timers beyond delta * Lagg.
-  // The latency matrix records pure propagation, but real rounds also pay
-  // serialization; without slack the slowest child's vote always misses the
-  // aggregate by a hair.
-  SimTime aggregation_slack = 50 * kMsec;
   // Round-robin leader rotation (HotStuff-rr baseline). Only meaningful for
   // star topologies.
   bool rotate_root = false;
-  bool enable_suspicion_sensor = false;
   // Vote-authentication pricing under a CryptoCostModel; ignored without
   // one. Aggregate certificates are the family's default (Kauri/HotStuff).
   VoteVerification vote_verification = VoteVerification::kAggregateQc;
   // When set, the harness stops self-driving proposals: a ClientFleet sends
   // requests to the root, which batches them under the workload's
   // BatchPolicy (size/deadline triggers) and replies at the commit boundary.
+  // Taken as resolved: Deployment::Builder fills `clients` and
+  // `replies_needed` (1, the root's commit-stamped reply) before Build.
   std::optional<WorkloadOptions> workload;
 };
 
@@ -212,6 +206,9 @@ class TreeRsm : public ConsensusEngine, public TimerTarget {
   void OnRootVotes(uint64_t view, Digest block, const std::vector<ReplicaId>& voters);
   void CommitRound(uint64_t view);
   void OnRoundTimeout(uint64_t view);
+  // Asks the reconfiguration policy for the next tree and, if it names one,
+  // installs it mid-run: counted, and the old tree's rounds abandoned.
+  void ReconfigureFromPolicy();
   void RecordSuspicion(const SuspicionRecord& rec);
   SimTime RoundTimeout() const;
 

@@ -8,6 +8,12 @@
 namespace optilog {
 namespace {
 
+// Period of the probe-based latency measurement rounds (§4.2.1).
+constexpr SimTime kProbeInterval = 5 * kSec;
+// Suspicions must accumulate in this many distinct instances before the
+// monitor acts — Aware-style damping against one-off spikes.
+constexpr size_t kSuspicionThreshold = 3;
+
 Digest BatchDigest(const PrePrepareMsg& msg) {
   // The digest Write/Accept quorums form over is the SHA-256 of the
   // Pre-Prepare's canonical batch section — the exact bytes on the wire,
@@ -190,45 +196,15 @@ void PbftReplica::Commit(uint64_t seq) {
   // carries this replica's committed result. Every replica emits its own
   // commit/reply records; the stage fold keys on the earliest (first-record-
   // wins), which is the earliest replica to decide.
+  auto reply = [this, seq](const RequestRef& req, const Bytes& result) {
+    SendClientReply(harness_->net_, id_, req, seq, result);
+  };
   if (harness_->group_ != nullptr) {
-    harness_->group_->CommitAt(
-        id_, seq, inst.leader, inst.batch, harness_->sim_->now(),
-        [this, seq](const RequestRef& req, const Bytes& result) {
-          if (TraceRecorder* tr = harness_->sim_->trace()) {
-            tr->EmitHere(harness_->sim_->now(), TraceKind::kCommit, 0, id_,
-                         req.request_id, req.client);
-          }
-          auto reply = harness_->sim_->pool().Make<ClientReplyMsg>();
-          reply->request_id = req.request_id;
-          reply->seq = seq;
-          reply->result = result;
-          if (CpuMeter* cpu = harness_->net_->cpu()) {
-            // Per-client reply MACs (hash-cost, not full signatures).
-            cpu->ChargeHash(id_, harness_->sim_->now(), reply->WireSize());
-          }
-          if (TraceRecorder* tr = harness_->sim_->trace()) {
-            tr->EmitHere(harness_->sim_->now(), TraceKind::kReplySent, 0, id_,
-                         req.request_id, req.client);
-          }
-          harness_->net_->Send(id_, req.client, std::move(reply));
-        });
+    harness_->group_->CommitAt(id_, seq, inst.leader, inst.batch,
+                               harness_->sim_->now(), reply);
   } else {
     for (const RequestRef& req : inst.batch) {
-      if (TraceRecorder* tr = harness_->sim_->trace()) {
-        tr->EmitHere(harness_->sim_->now(), TraceKind::kCommit, 0, id_,
-                     req.request_id, req.client);
-      }
-      auto reply = harness_->sim_->pool().Make<ClientReplyMsg>();
-      reply->request_id = req.request_id;
-      reply->seq = seq;
-      if (CpuMeter* cpu = harness_->net_->cpu()) {
-        cpu->ChargeHash(id_, harness_->sim_->now(), reply->WireSize());
-      }
-      if (TraceRecorder* tr = harness_->sim_->trace()) {
-        tr->EmitHere(harness_->sim_->now(), TraceKind::kReplySent, 0, id_,
-                     req.request_id, req.client);
-      }
-      harness_->net_->Send(id_, req.client, std::move(reply));
+      reply(req, {});
     }
   }
   if (sensor_) {
@@ -245,28 +221,6 @@ void PbftReplica::Commit(uint64_t seq) {
 }
 
 // --- PbftHarness -----------------------------------------------------------------
-
-namespace {
-
-// The pre-workload-layer client behavior, kept as the default: one
-// closed-loop client per replica, one outstanding request, think time
-// between requests, completion on the f + 1-th reply, and a leader that
-// drains its whole queue into each batch.
-WorkloadOptions LegacyWorkload(const PbftOptions& opts) {
-  WorkloadOptions w;
-  w.clients = opts.n;
-  w.arrival = ArrivalProcess::kClosedLoop;
-  w.outstanding = 1;
-  w.think_time = opts.request_interval;
-  w.request_bytes = opts.request_bytes;
-  w.seed = opts.seed;
-  w.batch.max_batch = ~0u;
-  w.batch.max_delay = 0;
-  w.batch.max_queue = ~size_t{0};
-  return w;
-}
-
-}  // namespace
 
 PbftHarness::PbftHarness(Simulator* sim, Network* net, const KeyStore* keys,
                          PbftOptions opts)
@@ -312,17 +266,10 @@ PbftHarness::PbftHarness(Simulator* sim, Network* net, const KeyStore* keys,
           });
     }
   }
-  WorkloadOptions w = opts_.workload.value_or(LegacyWorkload(opts_));
-  if (w.clients == 0) {
-    w.clients = opts_.n;
-  }
-  if (w.replies_needed == 0) {
-    w.replies_needed = opts_.f + 1;
-  }
-  queue_ = std::make_unique<RequestQueue>(w.batch);
-  if (w.spawn_fleet) {
-    fleet_ = std::make_unique<ClientFleet>(
-        sim_, net_, opts_.n, std::move(w), [this] { return config_.leader; });
+  queue_ = std::make_unique<RequestQueue>(opts_.workload.batch);
+  if (opts_.workload.spawn_fleet) {
+    fleet_ = std::make_unique<ClientFleet>(sim_, net_, opts_.n, opts_.workload,
+                                           [this] { return config_.leader; });
   }
 
   net_->SetProposalClassifier(
@@ -412,23 +359,8 @@ void PbftHarness::OnStateTransfer(ReplicaId receiver, ReplicaId from,
 }
 
 void PbftHarness::OnClientRequest(ReplicaId receiver, const MessagePtr& msg) {
-  const auto& req = static_cast<const ClientRequestMsg&>(*msg);
-  if (receiver != config_.leader) {
-    // A retry probing another replica, or a request that raced a
-    // reconfiguration: forward the same immutable message to the leader.
-    net_->Send(receiver, config_.leader, msg);
-    return;
-  }
-  if (queue_->Push(RequestRef{req.client, req.request_id, req.sent_at, req.op,
-                              req.shard},
-                   sim_->now()) != RequestQueue::Admit::kAccepted) {
-    return;
-  }
-  if (TraceRecorder* tr = sim_->trace()) {
-    tr->EmitHere(sim_->now(), TraceKind::kQueueAdmit, 0, receiver,
-                 req.request_id, req.client);
-  }
-  if (!instance_open_) {
+  if (AdmitOrForward(net_, queue_.get(), receiver, config_.leader, msg) &&
+      !instance_open_) {
     ProposeNext(sim_->now());
   }
 }
@@ -529,7 +461,7 @@ void PbftHarness::RunProbeRound() {
     }
     LatencyVectorRecord rec;
     rec.reporter = a;
-    rec.epoch = static_cast<uint64_t>(sim_->now() / opts_.probe_interval);
+    rec.epoch = static_cast<uint64_t>(sim_->now() / kProbeInterval);
     rec.rtt_units.resize(opts_.n, 0);
     for (ReplicaId b = 0; b < opts_.n; ++b) {
       if (a == b) {
@@ -563,7 +495,7 @@ void PbftHarness::RunProbeRound() {
     }
     CommitMeasurement(MakeLatencyMeasurement(rec, *keys_));
   }
-  sim_->ScheduleTimer(this, kTimerProbeRound, opts_.probe_interval);
+  sim_->ScheduleTimer(this, kTimerProbeRound, kProbeInterval);
 }
 
 void PbftHarness::RunAwareOptimization() {
@@ -601,7 +533,7 @@ void PbftHarness::MaybeReactToSuspicions() {
     return;
   }
   if (searched_after_invalid_ ||
-      suspicion_rounds_.size() < opts_.suspicion_threshold) {
+      suspicion_rounds_.size() < kSuspicionThreshold) {
     return;
   }
   searched_after_invalid_ = true;

@@ -11,12 +11,11 @@
 //                when the candidate set excludes the leader, the config
 //                monitor waits for f + 1 search proposals and reconfigures.
 //
-// Clients: the shared workload layer (src/workload/). By default one
-// closed-loop client per replica, colocated in the replica's city (client
-// id = n + replica id), issuing requests to the current leader and stamping
-// end-to-end latency on the f + 1-th reply — the metric Fig. 7 plots over
-// time. PbftOptions::workload swaps in any other fleet (open-loop rates,
-// Poisson arrivals, scripted phases, retries).
+// Clients: the shared workload layer (src/workload/), configured by
+// PbftOptions::workload. Clients issue requests to the current leader and
+// stamp end-to-end latency on the f + 1-th reply — the metric Fig. 7 plots
+// over time. Deployment::Builder resolves the fleet at Build (by default
+// BFT-SMaRt's closed loop, one client per replica colocated in its city).
 //
 // OptiLog integration: the harness owns a shared Log and one Pipeline
 // instance — the monitor side is deterministic (Table 1), so the per-replica
@@ -28,7 +27,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 
 #include "src/api/consensus_engine.h"
@@ -51,21 +49,15 @@ struct PbftOptions {
   uint32_t f = 0;
   PbftMode mode = PbftMode::kPbft;
   double delta = 1.2;                  // suspicion timing slack
-  SimTime request_interval = 50 * kMsec;  // client think time
-  SimTime probe_interval = 5 * kSec;
   SimTime optimize_at = 40 * kSec;     // Aware's scheduled optimization
-  size_t request_bytes = 64;
   uint64_t seed = 7;
-  // Suspicions must accumulate in this many distinct instances before the
-  // monitor acts — Aware-style damping against one-off spikes.
-  uint32_t suspicion_threshold = 3;
   // Monitor-side knobs for the harness's shared pipeline. delta, rng_seed
   // and auto_reciprocate are overridden from the options above.
   Pipeline::Options pipeline;
-  // Client fleet override. Unset: the legacy closed loop — one client per
-  // replica, one outstanding request, request_interval think time, f + 1
-  // replies, unbounded batches (the BFT-SMaRt drain-the-queue behavior).
-  std::optional<WorkloadOptions> workload;
+  // The client fleet and the leader's batch policy, taken as resolved
+  // (`clients` and `replies_needed` nonzero). Deployment::Builder fills it,
+  // like n, f and the mode, from WithWorkload or the BFT-SMaRt default.
+  WorkloadOptions workload;
 };
 
 class PbftHarness;

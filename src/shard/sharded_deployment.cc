@@ -25,10 +25,7 @@ ReplicaId ShardedDeployment::Route(uint32_t s) {
 }
 
 uint32_t ShardedDeployment::RepliesNeeded(uint32_t s) {
-  Deployment& d = shard(s);
-  // Tree protocols reply once from the root at the commit boundary; the
-  // PBFT family needs f + 1 matching replies.
-  return IsTreeProtocol(d.protocol()) ? 1 : d.f() + 1;
+  return shard(s).workload()->replies_needed;
 }
 
 void ShardedDeployment::Start() {

@@ -81,9 +81,10 @@ class ShardedDeployment {
   // harmless because retries rotate through the shard's replicas and
   // crashed-leader forwarding finds whoever leads now.
   ReplicaId Route(uint32_t s);
-  // Distinct replies that complete a client-visible record on shard `s`
-  // (1 for the tree family, f+1 for PBFT). Pure configuration — safe from
-  // any partition.
+  // Distinct replies that complete a client-visible record on shard `s`:
+  // the shard's resolved `replies_needed` (1 for the tree family, f+1 for
+  // PBFT unless WithWorkload says otherwise). Pure configuration — safe
+  // from any partition.
   uint32_t RepliesNeeded(uint32_t s);
 
   // --- lifecycle -------------------------------------------------------------

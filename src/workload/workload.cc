@@ -294,4 +294,48 @@ WorkloadReport ClientFleet::Report() const {
   return report;
 }
 
+// --- replica side ------------------------------------------------------------
+
+bool AdmitOrForward(Network* net, RequestQueue* queue, ReplicaId receiver,
+                    ReplicaId leader, const MessagePtr& msg) {
+  if (receiver != leader) {
+    net->Send(receiver, leader, msg);
+    return false;
+  }
+  Simulator* sim = net->sim();
+  const auto& req = static_cast<const ClientRequestMsg&>(*msg);
+  if (queue->Push(RequestRef{req.client, req.request_id, req.sent_at, req.op,
+                             req.shard},
+                  sim->now()) != RequestQueue::Admit::kAccepted) {
+    return false;
+  }
+  if (TraceRecorder* tr = sim->trace()) {
+    tr->EmitHere(sim->now(), TraceKind::kQueueAdmit, 0, receiver,
+                 req.request_id, req.client);
+  }
+  return true;
+}
+
+void SendClientReply(Network* net, ReplicaId from, const RequestRef& req,
+                     uint64_t seq, Bytes result) {
+  Simulator* sim = net->sim();
+  TraceRecorder* const tr = sim->trace();
+  if (tr != nullptr) {
+    tr->EmitHere(sim->now(), TraceKind::kCommit, 0, from, req.request_id,
+                 req.client);
+  }
+  auto reply = sim->pool().Make<ClientReplyMsg>();
+  reply->request_id = req.request_id;
+  reply->seq = seq;
+  reply->result = std::move(result);
+  if (CpuMeter* cpu = net->cpu()) {
+    cpu->ChargeHash(from, sim->now(), reply->WireSize());
+  }
+  if (tr != nullptr) {
+    tr->EmitHere(sim->now(), TraceKind::kReplySent, 0, from, req.request_id,
+                 req.client);
+  }
+  net->Send(from, req.client, std::move(reply));
+}
+
 }  // namespace optilog

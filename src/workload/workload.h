@@ -193,4 +193,19 @@ class ClientFleet {
   LatencyRecorder latency_;  // original send -> reply quorum
 };
 
+// The replica side of the client path, shared by both engine families.
+//
+// Admit-or-forward: a replica that is not `leader` forwards the same
+// immutable request to it (stale client knowledge after a reconfiguration,
+// or a retry probing another replica); the leader pushes it into `queue` and
+// records kQueueAdmit. Returns whether the request entered the queue.
+bool AdmitOrForward(Network* net, RequestQueue* queue, ReplicaId receiver,
+                    ReplicaId leader, const MessagePtr& msg);
+
+// One reply at the commit boundary, from `from` to the request's client:
+// kCommit, the reply carrying `result`, its per-client MAC (hash cost, not a
+// full signature — the BFT-SMaRt reply model), kReplySent, then the send.
+void SendClientReply(Network* net, ReplicaId from, const RequestRef& req,
+                     uint64_t seq, Bytes result);
+
 }  // namespace optilog

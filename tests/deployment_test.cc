@@ -213,7 +213,20 @@ TEST(DeploymentBuilder, OptiAwareMatchesHandWiredCounts) {
     FaultModel faults;
     Network net(&sim, &latency, &faults);
     KeyStore keys(21, 1);
-    PbftHarness harness(&sim, &net, &keys, opts);
+    // The builder's default fleet, spelled out: BFT-SMaRt's closed loop of
+    // one client per replica on the harness seed, f + 1 replies, and a
+    // leader that drains its whole queue into each batch.
+    PbftOptions wired = opts;
+    wired.workload.clients = 21;
+    wired.workload.outstanding = 1;
+    wired.workload.think_time = 50 * kMsec;
+    wired.workload.request_bytes = 64;
+    wired.workload.replies_needed = 7;
+    wired.workload.seed = opts.seed;
+    wired.workload.batch.max_batch = ~0u;
+    wired.workload.batch.max_delay = 0;
+    wired.workload.batch.max_queue = ~size_t{0};
+    PbftHarness harness(&sim, &net, &keys, wired);
     sim.ScheduleAt(15 * kSec, [&] {
       auto& f = faults.Mutable(harness.config().leader);
       f.proposal_delay = 600 * kMsec;
@@ -252,6 +265,52 @@ TEST(DeploymentBuilder, OptiAwareMatchesHandWiredCounts) {
 }
 
 // --- Builder defaults and the ConsensusEngine interface ----------------------
+
+TEST(DeploymentBuilder, ResolvesPbftDefaultFleet) {
+  auto d = Deployment::Builder()
+               .WithGeo(Europe21())
+               .WithProtocol(Protocol::kAware)
+               .WithSeed(5)
+               .Build();
+  ASSERT_NE(d->engine().client_fleet(), nullptr);
+  const WorkloadOptions& w = d->engine().client_fleet()->options();
+  EXPECT_EQ(w.clients, 21u);
+  EXPECT_EQ(w.arrival, ArrivalProcess::kClosedLoop);
+  EXPECT_EQ(w.outstanding, 1u);
+  EXPECT_EQ(w.think_time, 50 * kMsec);
+  EXPECT_EQ(w.request_bytes, 64u);
+  EXPECT_EQ(w.replies_needed, 7u);  // f + 1
+  EXPECT_EQ(w.seed, 5u);            // the harness seed, not a folded one
+  // Propose-on-idle drains the whole queue: no size, deadline or depth cap.
+  EXPECT_EQ(w.batch.max_batch, ~0u);
+  EXPECT_EQ(w.batch.max_delay, 0);
+  EXPECT_EQ(w.batch.max_queue, ~size_t{0});
+  EXPECT_EQ(d->workload()->replies_needed, 7u);
+  EXPECT_EQ(d->pbft().options().workload.replies_needed, 7u);
+}
+
+TEST(DeploymentBuilder, ResolvesTreeWorkloadDefaults) {
+  WorkloadOptions w;
+  w.arrival = ArrivalProcess::kOpenRate;
+  auto d = Deployment::Builder()
+               .WithGeo(Europe21())
+               .WithProtocol(Protocol::kKauri)
+               .WithWorkload(w)
+               .Build();
+  ASSERT_NE(d->engine().client_fleet(), nullptr);
+  const WorkloadOptions& r = d->engine().client_fleet()->options();
+  EXPECT_EQ(r.clients, 21u);
+  EXPECT_EQ(r.replies_needed, 1u);  // the root's commit-stamped reply
+  EXPECT_EQ(r.arrival, ArrivalProcess::kOpenRate);
+
+  // Without WithWorkload a tree engine self-drives: nothing to resolve.
+  auto self_driven = Deployment::Builder()
+                         .WithGeo(Europe21())
+                         .WithProtocol(Protocol::kKauri)
+                         .Build();
+  EXPECT_EQ(self_driven->workload(), nullptr);
+  EXPECT_EQ(self_driven->engine().client_fleet(), nullptr);
+}
 
 TEST(DeploymentBuilder, DefaultsFillGeoAndFaultBudget) {
   auto d = Deployment::Builder()
