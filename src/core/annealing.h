@@ -45,11 +45,14 @@ struct AnnealingResult {
   bool converged = false;  // stopped on temperature, not budget
 };
 
-// score: State -> double (lower better). mutate: (const State&, Rng&) -> State.
-template <typename State, typename ScoreFn, typename MutateFn>
-AnnealingResult<State> SimulatedAnnealing(State initial, ScoreFn&& score,
-                                          MutateFn&& mutate, Rng& rng,
-                                          const AnnealingParams& params = {}) {
+// score: State -> double (lower better). neighbor: (const State& current,
+// Rng&, State* out) writes a neighbour of `current` into *out; *out is the
+// same object every iteration (or a former current), so a neighbour
+// function that reuses its buffers makes the loop allocation-free.
+template <typename State, typename ScoreFn, typename NeighborFn>
+AnnealingResult<State> SimulatedAnnealingInPlace(State initial, ScoreFn&& score,
+                                                 NeighborFn&& neighbor, Rng& rng,
+                                                 const AnnealingParams& params = {}) {
   AnnealingResult<State> result;
   State current = initial;
   double current_score = score(current);
@@ -62,18 +65,19 @@ AnnealingResult<State> SimulatedAnnealing(State initial, ScoreFn&& score,
   double temperature = params.initial_temperature * scale;
   const double floor = params.min_temperature * scale;
 
+  State candidate = current;
   uint64_t iter = 0;
   for (; iter < params.max_iterations; ++iter) {
     if (temperature < floor) {
       result.converged = true;
       break;
     }
-    State neighbor = mutate(current, rng);
-    const double neighbor_score = score(neighbor);
-    const double delta = neighbor_score - current_score;
+    neighbor(current, rng, &candidate);
+    const double candidate_score = score(candidate);
+    const double delta = candidate_score - current_score;
     if (delta <= 0 || rng.Uniform() < std::exp(-delta / temperature)) {
-      current = std::move(neighbor);
-      current_score = neighbor_score;
+      std::swap(current, candidate);
+      current_score = candidate_score;
       if (current_score < result.best_score) {
         result.best = current;
         result.best_score = current_score;
@@ -83,6 +87,17 @@ AnnealingResult<State> SimulatedAnnealing(State initial, ScoreFn&& score,
   }
   result.iterations = iter;
   return result;
+}
+
+// The same search with a value-returning mutate: (const State&, Rng&) -> State.
+template <typename State, typename ScoreFn, typename MutateFn>
+AnnealingResult<State> SimulatedAnnealing(State initial, ScoreFn&& score,
+                                          MutateFn&& mutate, Rng& rng,
+                                          const AnnealingParams& params = {}) {
+  return SimulatedAnnealingInPlace(
+      std::move(initial), score,
+      [&](const State& current, Rng& r, State* out) { *out = mutate(current, r); },
+      rng, params);
 }
 
 }  // namespace optilog

@@ -324,18 +324,18 @@ void Sha256::Update(const uint8_t* data, size_t len) {
 
 Digest Sha256::Finish() {
   const uint64_t bit_len = total_len_ * 8;
-  const uint8_t pad = 0x80;
-  Update(&pad, 1);
-  const uint8_t zero = 0x00;
-  while (buf_len_ != 56) {
-    Update(&zero, 1);
+  // Pad in place: 0x80, zeros up to byte 56 (spilling into one extra block
+  // when the 0x80 lands past it), then the 64-bit big-endian bit length.
+  buf_[buf_len_++] = 0x80;
+  if (buf_len_ > 56) {
+    std::memset(buf_ + buf_len_, 0, 64 - buf_len_);
+    Compress(buf_);
+    buf_len_ = 0;
   }
-  uint8_t len_be[8];
+  std::memset(buf_ + buf_len_, 0, 56 - buf_len_);
   for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<uint8_t>(bit_len >> (8 * (7 - i)));
+    buf_[56 + i] = static_cast<uint8_t>(bit_len >> (8 * (7 - i)));
   }
-  // Bypass Update for the length field so total_len_ is not disturbed.
-  std::memcpy(buf_ + buf_len_, len_be, 8);
   Compress(buf_);
 
   Digest out;

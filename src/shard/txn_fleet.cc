@@ -62,7 +62,7 @@ void TxnClient::OnTimer(uint64_t tag, SimTime at) {
     // forwards to whoever leads now.
     cur_->target = (cur_->target + 1) % fleet_->replicas_per_shard();
   }
-  SendAttempt(at);
+  SendAttempt();
 }
 
 void TxnClient::StartTxn(SimTime now) {
@@ -130,10 +130,10 @@ void TxnClient::StartTxn(SimTime now) {
     tr->EmitHere(now, TraceKind::kClientSend, cur_->cross ? 1 : 0, id_,
                  cur_->request_id, id_);
   }
-  SendAttempt(now);
+  SendAttempt();
 }
 
-void TxnClient::SendAttempt(SimTime now) {
+void TxnClient::SendAttempt() {
   Pending& p = *cur_;
   if (p.cross) {
     auto msg = fleet_->sim().pool().Make<TxnRequestMsg>();

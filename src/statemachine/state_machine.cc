@@ -1,8 +1,19 @@
 #include "src/statemachine/state_machine.h"
 
+#include <algorithm>
+#include <bit>
 #include <utility>
 
 namespace optilog {
+namespace {
+
+// 2^64 / golden ratio. The slot index is the top bits of key * kFibonacci:
+// workload keys (client << 20 | i) share their low bits across clients, so
+// masking the low bits would pile every client into the same slots.
+constexpr uint64_t kFibonacci = 0x9E3779B97F4A7C15ULL;
+constexpr size_t kMinSlots = 16;
+
+}  // namespace
 
 Bytes KvOp::Encode() const {
   Bytes out;
@@ -167,27 +178,87 @@ Bytes KvStateMachine::Apply(const Bytes& op_bytes) {
   return ApplyOne(op).Encode();
 }
 
+size_t KvStateMachine::Probe(uint64_t key) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = static_cast<size_t>((key * kFibonacci) >> shift_);
+  while (used_[i] && slots_[i].key != key) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+const uint64_t* KvStateMachine::Find(uint64_t key) const {
+  if (slots_.empty()) {
+    return nullptr;
+  }
+  const size_t i = Probe(key);
+  return used_[i] ? &slots_[i].value : nullptr;
+}
+
+std::pair<uint64_t*, bool> KvStateMachine::Upsert(uint64_t key) {
+  size_t i = 0;
+  if (!slots_.empty()) {
+    i = Probe(key);
+    if (used_[i]) {
+      return {&slots_[i].value, false};
+    }
+  }
+  if (2 * (size_ + 1) > slots_.size()) {
+    Rehash(std::max(kMinSlots, 2 * slots_.size()));
+    i = Probe(key);
+  }
+  slots_[i] = Slot{key, 0};
+  used_[i] = 1;
+  ++size_;
+  return {&slots_[i].value, true};
+}
+
+void KvStateMachine::Rehash(size_t slot_count) {
+  const std::vector<Slot> old_slots = std::exchange(slots_, std::vector<Slot>(slot_count));
+  const std::vector<uint8_t> old_used = std::exchange(used_, std::vector<uint8_t>(slot_count));
+  shift_ = 64 - std::countr_zero(slot_count);
+  for (size_t j = 0; j < old_slots.size(); ++j) {
+    if (old_used[j]) {
+      const size_t i = Probe(old_slots[j].key);
+      slots_[i] = old_slots[j];
+      used_[i] = 1;
+    }
+  }
+}
+
+std::vector<std::pair<uint64_t, uint64_t>> KvStateMachine::state() const {
+  std::vector<std::pair<uint64_t, uint64_t>> out;
+  out.reserve(size_);
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    if (used_[i]) {
+      out.emplace_back(slots_[i].key, slots_[i].value);
+    }
+  }
+  std::sort(out.begin(), out.end());  // keys are unique: sorts by key
+  return out;
+}
+
 KvResult KvStateMachine::ApplyOne(const KvOp& op) {
   KvResult res;
   switch (op.kind) {
     case KvOpKind::kGet: {
-      auto it = kv_.find(op.key);
-      res.found = it != kv_.end();
-      res.value = res.found ? it->second : 0;
+      const uint64_t* value = Find(op.key);
+      res.found = value != nullptr;
+      res.value = res.found ? *value : 0;
       break;
     }
     case KvOpKind::kPut: {
-      auto [it, inserted] = kv_.insert_or_assign(op.key, op.arg);
-      (void)it;
+      auto [value, inserted] = Upsert(op.key);
+      *value = op.arg;
       res.found = !inserted;
       res.value = op.arg;
       break;
     }
     case KvOpKind::kAdd: {
-      auto [it, inserted] = kv_.try_emplace(op.key, 0);
+      auto [value, inserted] = Upsert(op.key);
+      *value += op.arg;
       res.found = !inserted;
-      it->second += op.arg;
-      res.value = it->second;
+      res.value = *value;
       break;
     }
   }
@@ -291,8 +362,9 @@ Bytes KvStateMachine::ApplyTxn(const KvTxnOp& txn) {
 Bytes KvStateMachine::SnapshotBytes() const {
   Bytes out;
   ByteWriter w(&out);
-  w.U64(kv_.size());
-  for (const auto& [key, value] : kv_) {  // std::map: sorted, canonical
+  const auto entries = state();  // ascending keys: the canonical order
+  w.U64(entries.size());
+  for (const auto& [key, value] : entries) {
     w.U64(key);
     w.U64(value);
   }
@@ -338,7 +410,10 @@ void KvStateMachine::Restore(const Bytes& snapshot) {
   for (uint64_t i = 0; i < count && r.ok(); ++i) {
     const uint64_t key = r.U64();
     const uint64_t value = r.U64();
-    kv_.emplace_hint(kv_.end(), key, value);
+    auto [slot, inserted] = Upsert(key);
+    if (inserted) {
+      *slot = value;  // a duplicate key keeps its first value
+    }
   }
   if (r.Done()) {
     return;  // legacy snapshot: no transaction tables
@@ -391,7 +466,10 @@ Digest KvStateMachine::StateDigest() const {
 }
 
 void KvStateMachine::Reset() {
-  kv_.clear();
+  slots_ = {};
+  used_ = {};
+  size_ = 0;
+  shift_ = 64;
   prepared_.clear();
   decided_.clear();
   locks_.clear();

@@ -11,13 +11,16 @@
 // uint64 -> uint64 map with read (Get), blind write (Put), and
 // read-modify-write (Add) operations. Apply returns an encoded KvResult the
 // committing replica sends back in its client reply, which the client
-// cross-checks against a model oracle (src/workload/). Snapshot encoding is
-// the sorted key order of std::map, so snapshots are byte-identical across
-// replicas by construction, not by luck.
+// cross-checks against a model oracle (src/workload/). The keys live in a
+// flat open-addressing table (every committed op is applied by every
+// replica, so this lookup is the data plane's hottest path); snapshots sort
+// the entries by key, so snapshot bytes are byte-identical across replicas
+// by construction, not by luck.
 #pragma once
 
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/crypto/sha256.h"
@@ -131,8 +134,9 @@ class KvStateMachine : public StateMachine {
   Digest StateDigest() const override;
   void Reset() override;
 
-  size_t size() const { return kv_.size(); }
-  const std::map<uint64_t, uint64_t>& state() const { return kv_; }
+  size_t size() const { return size_; }
+  // The (key, value) pairs in ascending key order.
+  std::vector<std::pair<uint64_t, uint64_t>> state() const;
 
   // A prepared (in-doubt) transaction: its ops are locked but not applied.
   struct PreparedTxn {
@@ -163,7 +167,26 @@ class KvStateMachine : public StateMachine {
   Bytes ApplyTxn(const KvTxnOp& txn);
   void Unlock(uint64_t txn_id, const std::vector<KvOp>& ops);
 
-  std::map<uint64_t, uint64_t> kv_;
+  // The key table: linear probing over a power-of-two slot array that is
+  // at most half full, allocated on the first insert. Occupancy is a byte
+  // array of its own, so every uint64 (0 and UINT64_MAX included) is a
+  // valid key; KV ops never erase, so there are no tombstones.
+  struct Slot {
+    uint64_t key = 0;
+    uint64_t value = 0;
+  };
+  // Index of `key`'s slot, or of the empty slot where it would go; the
+  // table must be non-empty.
+  size_t Probe(uint64_t key) const;
+  const uint64_t* Find(uint64_t key) const;
+  // The value slot for `key`, inserted as 0 when absent (second = true).
+  std::pair<uint64_t*, bool> Upsert(uint64_t key);
+  void Rehash(size_t slot_count);
+
+  std::vector<Slot> slots_;
+  std::vector<uint8_t> used_;  // parallel to slots_
+  size_t size_ = 0;
+  int shift_ = 64;  // 64 - log2(slots_.size()): the hash's index bits
   std::map<uint64_t, PreparedTxn> prepared_;
   std::map<uint64_t, DecidedTxn> decided_;
   // key -> owning txn id; derived from prepared_ (rebuilt on Restore), so

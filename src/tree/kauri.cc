@@ -59,47 +59,79 @@ TreeTopology RandomTree(uint32_t n, Rng& rng) {
   return TreeTopology::Build(internals, leaves);
 }
 
+namespace {
+
+// The (internals, leaves) pair TreeTopology::Build consumes; AnnealTree
+// searches over layouts and builds a tree only for the best one.
+struct TreeLayout {
+  std::vector<ReplicaId> internals;
+  std::vector<ReplicaId> leaves;
+};
+
+}  // namespace
+
 TreeTopology AnnealTree(uint32_t n, const std::vector<ReplicaId>& internal_candidates,
                         const LatencyMatrix& latency, uint32_t k, Rng& rng,
                         const AnnealingParams& params) {
   OL_CHECK(!internal_candidates.empty());
   const uint32_t internals_needed = BranchFactorFor(n) + 1;
   OL_CHECK(internal_candidates.size() >= internals_needed);
+  std::vector<uint8_t> is_candidate(n, 0);
+  for (ReplicaId id : internal_candidates) {
+    OL_CHECK(id < n);
+    is_candidate[id] = 1;
+  }
 
-  // Initial tree: random internals from the candidate pool.
+  // Writes the ids outside `ints` to *leaves in ascending order and returns
+  // how many of them are internal candidates. is_internal is all zero
+  // between calls.
+  std::vector<uint8_t> is_internal(n, 0);
+  auto other_ids = [&](const std::vector<ReplicaId>& ints, std::vector<ReplicaId>* leaves) {
+    leaves->clear();
+    for (ReplicaId id : ints) {
+      is_internal[id] = 1;
+    }
+    size_t candidates = 0;
+    for (ReplicaId id = 0; id < n; ++id) {
+      if (!is_internal[id]) {
+        leaves->push_back(id);
+        candidates += is_candidate[id];
+      }
+    }
+    for (ReplicaId id : ints) {
+      is_internal[id] = 0;
+    }
+    return candidates;
+  };
+
+  // Initial layout: random internals from the candidate pool.
   std::vector<ReplicaId> pool = internal_candidates;
   rng.Shuffle(pool);
-  std::vector<ReplicaId> internals(pool.begin(), pool.begin() + internals_needed);
-  std::vector<ReplicaId> leaves;
-  for (ReplicaId id = 0; id < n; ++id) {
-    if (std::find(internals.begin(), internals.end(), id) == internals.end()) {
-      leaves.push_back(id);
-    }
-  }
-  rng.Shuffle(leaves);
-  TreeTopology initial = TreeTopology::Build(internals, leaves);
+  TreeLayout initial;
+  initial.internals.assign(pool.begin(), pool.begin() + internals_needed);
+  other_ids(initial.internals, &initial.leaves);
+  rng.Shuffle(initial.leaves);
 
-  const std::set<ReplicaId> candidate_set(internal_candidates.begin(),
-                                          internal_candidates.end());
-  auto score = [&](const TreeTopology& t) { return TreeScore(t, latency, k); };
-  auto mutate = [&](const TreeTopology& t, Rng& r) {
-    std::vector<ReplicaId> ints = t.Internals();
-    std::vector<ReplicaId> lvs;
-    for (ReplicaId id : t.Members()) {
-      if (!t.IsInternal(id)) {
-        lvs.push_back(id);
-      }
-    }
+  TreeLayoutScorer scorer(latency, k);
+  auto score = [&](const TreeLayout& l) { return scorer.Score(l.internals, l.leaves); };
+  // Each neighbour starts from the current internals and the non-internal
+  // ids in ascending order (a leaf swap does not carry into the next
+  // neighbour), then applies one move: swap an internal with a candidate
+  // leaf, swap two leaves, or swap two internals' positions.
+  auto neighbor = [&](const TreeLayout& cur, Rng& r, TreeLayout* out) {
+    std::vector<ReplicaId>& ints = out->internals;
+    std::vector<ReplicaId>& lvs = out->leaves;
+    ints = cur.internals;
+    const size_t eligible = other_ids(ints, &lvs);  // candidate leaves
     const uint64_t move = r.Below(3);
     if (move == 0) {
-      std::vector<size_t> eligible;
-      for (size_t i = 0; i < lvs.size(); ++i) {
-        if (candidate_set.count(lvs[i]) > 0) {
-          eligible.push_back(i);
+      if (eligible > 0) {
+        size_t li = 0;  // the drawn candidate leaf, counted in leaf order
+        for (uint64_t skip = r.Below(eligible);; ++li) {
+          if (is_candidate[lvs[li]] && skip-- == 0) {
+            break;
+          }
         }
-      }
-      if (!eligible.empty()) {
-        const size_t li = eligible[r.Below(eligible.size())];
         const size_t ii = static_cast<size_t>(r.Below(ints.size()));
         std::swap(ints[ii], lvs[li]);
       }
@@ -118,9 +150,10 @@ TreeTopology AnnealTree(uint32_t n, const std::vector<ReplicaId>& internal_candi
       }
       std::swap(ints[a], ints[b]);
     }
-    return TreeTopology::Build(ints, lvs);
   };
-  return SimulatedAnnealing(std::move(initial), score, mutate, rng, params).best;
+  const TreeLayout best =
+      SimulatedAnnealingInPlace(std::move(initial), score, neighbor, rng, params).best;
+  return TreeTopology::Build(best.internals, best.leaves);
 }
 
 std::optional<TreeTopology> KauriSaScheduler::NextTree(const LatencyMatrix& latency,

@@ -8,6 +8,24 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// Definition 1's min over subsets, given each subtree's (arrival time at
+// the root, votes it covers): the earliest arrival by which a prefix of the
+// subtrees in arrival order covers the k - 1 votes beyond the root's own.
+// Subtrees tied in arrival yield the same value in any order, so sort's
+// tie order never shows in the result.
+double EarliestCoverage(std::vector<std::pair<double, uint32_t>>& subtrees, uint32_t k) {
+  std::sort(subtrees.begin(), subtrees.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  uint32_t covered = 0;
+  for (const auto& [arrival, coverage] : subtrees) {
+    covered += coverage;
+    if (covered >= k - 1) {
+      return arrival;
+    }
+  }
+  return kInf;
+}
+
 }  // namespace
 
 double AggregationLatencyMs(const TreeTopology& tree, const LatencyMatrix& latency,
@@ -25,42 +43,47 @@ double TreeScore(const TreeTopology& tree, const LatencyMatrix& latency, uint32_
   }
   // Arrival time and coverage (children + the intermediate itself) of each
   // subtree's aggregate at the root.
-  struct Subtree {
-    double arrival;
-    uint32_t coverage;
-  };
-  std::vector<Subtree> subtrees;
+  std::vector<std::pair<double, uint32_t>> subtrees;
   subtrees.reserve(tree.intermediates().size());
   for (ReplicaId inter : tree.intermediates()) {
-    Subtree s;
-    s.arrival = AggregationLatencyMs(tree, latency, inter) +
-                latency.Rtt(inter, tree.root());
-    s.coverage = static_cast<uint32_t>(tree.ChildrenOf(inter).size()) + 1;
-    subtrees.push_back(s);
+    subtrees.emplace_back(
+        AggregationLatencyMs(tree, latency, inter) + latency.Rtt(inter, tree.root()),
+        static_cast<uint32_t>(tree.ChildrenOf(inter).size()) + 1);
   }
   // Star topology (no intermediates): every child votes directly.
   if (subtrees.empty()) {
-    std::vector<double> arrivals;
     for (ReplicaId child : tree.ChildrenOf(tree.root())) {
-      arrivals.push_back(latency.Rtt(tree.root(), child));
+      subtrees.emplace_back(latency.Rtt(tree.root(), child), 1);
     }
-    if (arrivals.size() + 1 < k) {
-      return kInf;
-    }
-    std::sort(arrivals.begin(), arrivals.end());
-    return arrivals[k - 2];  // root vote + (k-1) fastest children
   }
+  return EarliestCoverage(subtrees, k);
+}
 
-  std::sort(subtrees.begin(), subtrees.end(),
-            [](const Subtree& a, const Subtree& b) { return a.arrival < b.arrival; });
-  uint32_t covered = 0;
-  for (const Subtree& s : subtrees) {
-    covered += s.coverage;
-    if (covered >= k - 1) {
-      return s.arrival;
+double TreeLayoutScorer::Score(const std::vector<ReplicaId>& internals,
+                               const std::vector<ReplicaId>& leaves) {
+  if (k_ <= 1) {
+    return 0.0;
+  }
+  const ReplicaId root = internals[0];
+  const size_t b = internals.size() - 1;
+  subtrees_.clear();
+  if (b == 0) {
+    for (ReplicaId leaf : leaves) {
+      subtrees_.emplace_back(latency_.Rtt(root, leaf), 1);
     }
   }
-  return kInf;
+  for (size_t j = 0; j < b; ++j) {
+    // Intermediate j's children, in Build's order: leaves j, j + b, ...
+    const ReplicaId inter = internals[1 + j];
+    double worst = 0.0;
+    uint32_t children = 0;
+    for (size_t i = j; i < leaves.size(); i += b) {
+      worst = std::max(worst, latency_.Rtt(inter, leaves[i]));
+      ++children;
+    }
+    subtrees_.emplace_back(worst + latency_.Rtt(inter, root), children + 1);
+  }
+  return EarliestCoverage(subtrees_, k_);
 }
 
 double TreeRoundDurationMs(const TreeTopology& tree, const LatencyMatrix& latency,

@@ -12,6 +12,7 @@
 // k - 1 nodes — any optimal subset is a prefix of that order.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "src/core/latency_monitor.h"
@@ -22,6 +23,24 @@ namespace optilog {
 // score(k, tau). Returns +inf if the tree cannot deliver k votes at all
 // (e.g. unknown links or not enough subtree coverage).
 double TreeScore(const TreeTopology& tree, const LatencyMatrix& latency, uint32_t k);
+
+// score(k, tau) of the tree TreeTopology::Build(internals, leaves) would
+// make (leaf i under internals[1 + i % b]), computed straight from that
+// layout without building it; bit-equal to TreeScore of the built tree.
+// One scratch buffer is reused across calls, so the SA inner loop
+// (AnnealTree) scores candidates without allocating.
+class TreeLayoutScorer {
+ public:
+  TreeLayoutScorer(const LatencyMatrix& latency, uint32_t k) : latency_(latency), k_(k) {}
+
+  double Score(const std::vector<ReplicaId>& internals,
+               const std::vector<ReplicaId>& leaves);
+
+ private:
+  const LatencyMatrix& latency_;
+  const uint32_t k_;
+  std::vector<std::pair<double, uint32_t>> subtrees_;  // (arrival, coverage)
+};
 
 // Expected round duration for the suspicion sensor: the paper uses the same
 // score function (d_rnd = score(q + u, tau)).

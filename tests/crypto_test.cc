@@ -44,16 +44,29 @@ TEST(Sha256, IncrementalMatchesOneShot) {
 }
 
 TEST(Sha256, BoundaryLengths) {
-  // Exercise padding edge cases around the 56/64-byte boundary.
-  for (size_t len : {55u, 56u, 57u, 63u, 64u, 65u, 119u, 120u, 128u}) {
-    const std::string msg(len, 'x');
+  // Padding edge cases around the 56/64-byte boundary: known answers for
+  // `len` bytes of 'x' (Python hashlib), one-shot and split in two.
+  const struct {
+    size_t len;
+    const char* hex;
+  } kCases[] = {
+      {55, "d5e285683cd4efc02d021a5c62014694958901005d6f71e89e0989fac77e4072"},
+      {56, "04c26261370ee7541549d16dee320c723e3fd14671e66a099afe0a377c16888e"},
+      {57, "ae14a2563ccf969d99aca69ce6bb74981f734bbf9f655f73b8f06db68cab5217"},
+      {63, "75220b47218278e656f2013bb8f0c455a25eaf01e86c64924e9d48d89776d6f2"},
+      {64, "7ce100971f64e7001e8fe5a51973ecdfe1ced42befe7ee8d5fd6219506b5393c"},
+      {65, "9537c5fdf120482f7d58d25e9ed583f52c02b4e304ea814db1633ad565aed7e9"},
+      {119, "000b48d4edf0fa7bee3c6236ecd2785baa5db4eeb8bb54341b029e0d9fa5fb0c"},
+      {120, "13f05a0b594787f5ecd315edc96141bd3243203d1b7d4f0836f37308b276ba98"},
+      {128, "24da1b81d0b16df6428eee73c69fcb2a93c76bc6df706f0c6670fe6bfe800464"},
+  };
+  for (const auto& c : kCases) {
+    const std::string msg(c.len, 'x');
+    EXPECT_EQ(DigestHex(Sha256::Hash(msg)), c.hex) << "len=" << c.len;
     Sha256 h;
-    h.Update(msg);
-    const Digest one = h.Finish();
-    Sha256 h2;
-    h2.Update(msg.substr(0, len / 2));
-    h2.Update(msg.substr(len / 2));
-    EXPECT_EQ(one, h2.Finish()) << "len=" << len;
+    h.Update(msg.substr(0, c.len / 2));
+    h.Update(msg.substr(c.len / 2));
+    EXPECT_EQ(DigestHex(h.Finish()), c.hex) << "len=" << c.len;
   }
 }
 

@@ -3,6 +3,11 @@
 // families, log truncation invariants, and crash-recovery state transfer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "src/api/deployment.h"
 #include "src/runner/scenario.h"
 #include "src/statemachine/group.h"
@@ -76,6 +81,160 @@ TEST(KvStateMachine, MalformedOpIsADeterministicNoop) {
   ASSERT_TRUE(KvResult::Decode(sm.Apply(Bytes{0xff, 0x01}), &res));
   EXPECT_FALSE(res.found);
   EXPECT_EQ(sm.StateDigest(), before);
+}
+
+// A std::map reference model of the KV machine, kept only here: the machine
+// itself stores its keys in a hash table, and must agree with this model on
+// every result and on the sorted snapshot encoding.
+struct RefKv {
+  std::map<uint64_t, uint64_t> kv;
+
+  KvResult Apply(const KvOp& op) {
+    KvResult res;
+    auto it = kv.find(op.key);
+    res.found = it != kv.end();
+    switch (op.kind) {
+      case KvOpKind::kGet:
+        res.value = res.found ? it->second : 0;
+        break;
+      case KvOpKind::kPut:
+        kv[op.key] = op.arg;
+        res.value = op.arg;
+        break;
+      case KvOpKind::kAdd:
+        res.value = kv[op.key] += op.arg;
+        break;
+    }
+    return res;
+  }
+
+  Bytes Snapshot() const {
+    Bytes out;
+    ByteWriter w(&out);
+    w.U64(kv.size());
+    for (const auto& [key, value] : kv) {
+      w.U64(key);
+      w.U64(value);
+    }
+    return out;
+  }
+};
+
+TEST(KvStateMachine, MatchesOrderedMapReference) {
+  Rng rng(1609);
+  // Keys: both extremes plus the workload's client << 20 | i shape, fresh
+  // keys drawn often enough to grow the table from 16 to 4096 slots (more
+  // than 1024 keys, at most half the slots in use).
+  std::vector<uint64_t> keys = {0, UINT64_MAX};
+  KvStateMachine sm;
+  RefKv ref;
+  for (int step = 0; step < 4000; ++step) {
+    if (rng.Bernoulli(0.6)) {
+      keys.push_back(rng.Below(64) << 20 | rng.Below(1 << 20));
+    }
+    KvOp op;
+    op.kind = static_cast<KvOpKind>(rng.Below(3));
+    op.key = keys[rng.Below(keys.size())];
+    op.arg = rng.Bernoulli(0.1) ? UINT64_MAX : rng.Below(1000);
+    KvResult got;
+    ASSERT_TRUE(KvResult::Decode(sm.Apply(op.Encode()), &got));
+    const KvResult want = ref.Apply(op);
+    ASSERT_EQ(got.found, want.found) << "step " << step;
+    ASSERT_EQ(got.value, want.value) << "step " << step;
+    ASSERT_EQ(sm.size(), ref.kv.size()) << "step " << step;
+    ASSERT_EQ(sm.SnapshotBytes(), ref.Snapshot()) << "step " << step;
+  }
+  ASSERT_GT(sm.size(), 1024u);
+  const std::vector<std::pair<uint64_t, uint64_t>> sorted(ref.kv.begin(), ref.kv.end());
+  EXPECT_EQ(sm.state(), sorted);
+
+  KvStateMachine copy;
+  copy.Restore(sm.SnapshotBytes());
+  EXPECT_EQ(copy.size(), sm.size());
+  EXPECT_EQ(copy.SnapshotBytes(), sm.SnapshotBytes());
+  EXPECT_EQ(copy.StateDigest(), sm.StateDigest());
+  for (uint64_t key : {uint64_t{0}, UINT64_MAX, keys.back(), uint64_t{12345}}) {
+    const KvResult a = Apply(copy, KvOpKind::kGet, key);
+    const KvResult b = ref.Apply(KvOp{KvOpKind::kGet, key, 0});
+    EXPECT_EQ(a.found, b.found);
+    EXPECT_EQ(a.value, b.value);
+  }
+
+  copy.Reset();
+  EXPECT_EQ(copy.size(), 0u);
+  EXPECT_EQ(copy.SnapshotBytes(), KvStateMachine().SnapshotBytes());
+  EXPECT_FALSE(Apply(copy, KvOpKind::kGet, keys.back()).found);
+}
+
+TEST(KvStateMachine, RestoreKeepsTheFirstOfDuplicateKeys) {
+  Bytes snapshot;
+  ByteWriter w(&snapshot);
+  const std::pair<uint64_t, uint64_t> entries[] = {{5, 1}, {5, 2}, {7, 3}};
+  w.U64(std::size(entries));
+  for (const auto& [key, value] : entries) {
+    w.U64(key);
+    w.U64(value);
+  }
+  KvStateMachine sm;
+  sm.Restore(snapshot);
+  EXPECT_EQ(sm.size(), 2u);
+  EXPECT_EQ(Apply(sm, KvOpKind::kGet, 5).value, 1u);
+  EXPECT_EQ(Apply(sm, KvOpKind::kGet, 7).value, 3u);
+}
+
+TEST(KvStateMachine, TxnRecordsMatchOrderedMapReference) {
+  // kMulti, then a prepare/commit/end round per transaction on disjoint
+  // keys: the key table sees the same ops as the reference, in order.
+  Rng rng(77);
+  KvStateMachine sm;
+  RefKv ref;
+  auto draw_ops = [&](uint64_t client) {
+    std::vector<KvOp> ops;
+    for (uint64_t i = 0; i < 3; ++i) {
+      ops.push_back(KvOp{static_cast<KvOpKind>(rng.Below(3)),
+                         client << 20 | (i * 7 + rng.Below(4)), rng.Below(50)});
+    }
+    return ops;
+  };
+  auto expect_results = [&](const Bytes& reply, const std::vector<KvOp>& ops) {
+    KvMultiResult got;
+    ASSERT_TRUE(KvMultiResult::Decode(reply, &got));
+    ASSERT_TRUE(got.ok);
+    ASSERT_EQ(got.results.size(), ops.size());
+    for (size_t i = 0; i < ops.size(); ++i) {
+      const KvResult want = ref.Apply(ops[i]);
+      EXPECT_EQ(got.results[i].found, want.found);
+      EXPECT_EQ(got.results[i].value, want.value);
+    }
+  };
+  for (uint64_t txn_id = 1; txn_id <= 200; ++txn_id) {
+    KvTxnOp multi;
+    multi.tag = TxnTag::kMulti;
+    multi.ops = draw_ops(txn_id % 5);
+    expect_results(sm.Apply(multi.Encode()), multi.ops);
+
+    KvTxnOp prepare;
+    prepare.tag = TxnTag::kPrepare;
+    prepare.txn_id = txn_id;
+    prepare.ops = draw_ops(100 + txn_id % 3);
+    KvMultiResult vote;
+    ASSERT_TRUE(KvMultiResult::Decode(sm.Apply(prepare.Encode()), &vote));
+    ASSERT_TRUE(vote.ok);
+    EXPECT_FALSE(sm.locks().empty());
+
+    KvTxnOp commit;
+    commit.tag = TxnTag::kCommit;
+    commit.txn_id = txn_id;
+    expect_results(sm.Apply(commit.Encode()), prepare.ops);
+
+    KvTxnOp end;
+    end.tag = TxnTag::kEnd;
+    end.txn_id = txn_id;
+    sm.Apply(end.Encode());
+    ASSERT_TRUE(sm.locks().empty());
+    ASSERT_EQ(sm.size(), ref.kv.size());
+    ASSERT_EQ(sm.SnapshotBytes(), ref.Snapshot()) << "txn " << txn_id;
+  }
 }
 
 // --- Log truncation ----------------------------------------------------------

@@ -315,6 +315,91 @@ TEST(AnnealTree, BeatsRandomTreeOnGeoMatrix) {
       << "SA should find markedly better trees than random selection";
 }
 
+TEST(TreeLayoutScorer, EqualsTreeScoreOfTheBuiltTree) {
+  for (uint32_t n : {13u, 21u, 73u, 74u}) {  // 74: leaves split unevenly
+    const uint32_t f = (n - 1) / 3;
+    // A geographic matrix, one of equal RTTs (every arrival ties), and one
+    // with unknown (infinite) links.
+    LatencyMatrix partial(n);
+    Rng fill(n);
+    for (ReplicaId a = 0; a < n; ++a) {
+      for (ReplicaId b = 0; b < n; ++b) {
+        if (a != b && fill.Bernoulli(0.9)) {
+          partial.Record(a, b, static_cast<double>(1 + fill.Below(20)));
+        }
+      }
+    }
+    const LatencyMatrix matrices[] = {GeoMatrix(GlobalN(n)), UniformMatrix(n, 10.0),
+                                      partial};
+    Rng rng(n * 31);
+    for (const LatencyMatrix& m : matrices) {
+      for (uint32_t k : {1u, 2 * f + 1, n}) {
+        TreeLayoutScorer scorer(m, k);
+        for (int trial = 0; trial < 20; ++trial) {
+          std::vector<ReplicaId> ids(n);
+          for (ReplicaId id = 0; id < n; ++id) {
+            ids[id] = id;
+          }
+          rng.Shuffle(ids);
+          // Mostly height-3 layouts, and now and then a star.
+          const size_t internals = trial % 10 == 0 ? 1 : BranchFactorFor(n) + 1;
+          const std::vector<ReplicaId> ints(ids.begin(), ids.begin() + internals);
+          const std::vector<ReplicaId> lvs(ids.begin() + internals, ids.end());
+          EXPECT_EQ(scorer.Score(ints, lvs),
+                    TreeScore(TreeTopology::Build(ints, lvs), m, k))
+              << "n=" << n << " k=" << k << " trial=" << trial;
+        }
+      }
+    }
+  }
+}
+
+TEST(AnnealTree, ReproducesRecordedTrees) {
+  // Trees (and the Rng position after the search) recorded from the
+  // tree-building annealer this layout annealer replaced; any change to
+  // the search's draws or scores moves them.
+  struct Case {
+    std::vector<City> cities;
+    uint32_t candidate_stride;
+    uint32_t k;
+    uint64_t seed;
+    AnnealingParams params;
+    ReplicaId leader;
+    std::vector<ReplicaId> parent;
+    uint64_t next_draw;
+  };
+  AnnealingParams short_search;
+  short_search.max_iterations = 2000;
+  const Case cases[] = {
+      {Europe21(), 1, 13, 11, short_search, 9,
+       {9, 8, 3, 9, 7, 0, 0, 9, 9, 9, 8, 3, 7, 0, 8, 3, 7, 0, 8, 3, 7},
+       22035},
+      {NaEu43(), 2, 29, 5, short_search, 0,
+       {0, 8,  0, 32, 0, 6,  0, 12, 0, 2,  4,  8, 0, 32, 6,  12, 2, 4,  8, 32, 6, 12,
+        2, 4,  8, 32, 6, 12, 2, 4,  8, 32, 0, 6, 12, 2, 4,  8,  32, 6, 12, 2, 4},
+       761988},
+      {Global73(), 1, 49, 7, AnnealingParams::ForBudget(3000), 13,
+       {13, 20, 14, 15, 9,  59, 68, 0,  10, 13, 13, 20, 14, 13, 13, 13, 15, 9,  59,
+        68, 13, 0,  10, 20, 14, 15, 9,  59, 68, 0,  10, 20, 14, 15, 9,  59, 68, 0,
+        10, 20, 14, 15, 9,  59, 68, 0,  10, 20, 14, 15, 9,  59, 10, 0,  10, 20, 14,
+        15, 9,  13, 59, 68, 0,  10, 20, 14, 15, 9,  13, 59, 68, 0,  68},
+       316214},
+  };
+  for (const Case& c : cases) {
+    const uint32_t n = static_cast<uint32_t>(c.cities.size());
+    std::vector<ReplicaId> candidates;
+    for (ReplicaId id = 0; id < n; id += c.candidate_stride) {
+      candidates.push_back(id);
+    }
+    Rng rng(c.seed);
+    const RoleConfig config =
+        AnnealTree(n, candidates, GeoMatrix(c.cities), c.k, rng, c.params).ToConfig();
+    EXPECT_EQ(config.leader, c.leader) << "n=" << n;
+    EXPECT_EQ(config.parent, c.parent) << "n=" << n;
+    EXPECT_EQ(rng.Below(1000000), c.next_draw) << "n=" << n;
+  }
+}
+
 class TreeSizeSweep : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(TreeSizeSweep, RandomTreeWellFormed) {
